@@ -226,14 +226,14 @@ func (m MAC) SerializeTo(b *SerializeBuffer) error {
 	if len(m.Payload) > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrTooLong, len(m.Payload))
 	}
-	coded := rs.Encode(m.Payload)
-	body := b.AppendBytes(MACHeaderLen + len(coded))
+	body := b.AppendBytes(AirLen(len(m.Payload)))
 	body[0] = SFD
 	binary.BigEndian.PutUint16(body[1:3], uint16(len(m.Payload)))
 	binary.BigEndian.PutUint16(body[3:5], m.Dst)
 	binary.BigEndian.PutUint16(body[5:7], m.Src)
 	binary.BigEndian.PutUint16(body[7:9], m.Protocol)
-	copy(body[9:], coded)
+	// Payload‖parity goes straight into the reserved region.
+	rs.EncodeTo(body[MACHeaderLen:], m.Payload)
 	return nil
 }
 

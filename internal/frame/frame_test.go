@@ -330,3 +330,37 @@ func TestAirLenMatchesSerializedLength(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSerializeMACAllocs pins SerializeMAC at the SerializeBuffer's own
+// allocations: the Reed–Solomon stage encodes into the reserved region and
+// adds none. DecodeMAC of the clean frame allocates only the payload (none
+// when it is empty).
+func TestSerializeMACAllocs(t *testing.T) {
+	for _, n := range []int{0, 40, 1800} {
+		payload := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(payload)
+		m := MAC{Dst: 1, Src: 2, Protocol: 3, Payload: payload}
+		buffer := testing.AllocsPerRun(100, func() {
+			NewSerializeBuffer().AppendBytes(AirLen(n))
+		})
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := SerializeMAC(m); err != nil {
+				t.Fatal(err)
+			}
+		}); got != buffer {
+			t.Errorf("payload %d: SerializeMAC %v allocs/op, the buffer alone %v", n, got, buffer)
+		}
+		raw, _ := SerializeMAC(m)
+		want := 1.0
+		if n == 0 {
+			want = 0
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			if _, _, _, err := DecodeMAC(raw); err != nil {
+				t.Fatal(err)
+			}
+		}); got != want {
+			t.Errorf("payload %d: DecodeMAC %v allocs/op, want %v", n, got, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package rs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -30,7 +31,24 @@ var (
 // ready; a package-level initializer expression would run before them.
 var generator []byte
 
-func init() { generator = buildGenerator(ParityBytes) }
+// parityHi and parityLo are the encoder's reduction table: row f holds
+// f·g₁…g₁₆, the generator's non-leading coefficients scaled by f, packed
+// big-endian as the high and low halves of a 16-byte remainder. They are
+// filled in the same init as generator, after it, for the same reason:
+// a table built in an init that runs before gf256.go's comes out all zero.
+var parityHi, parityLo [fieldSize]uint64
+
+func init() {
+	generator = buildGenerator(ParityBytes)
+	for f := 1; f < fieldSize; f++ {
+		var hi, lo uint64
+		for j := 1; j <= ParityBytes/2; j++ {
+			hi = hi<<8 | uint64(gfMul(byte(f), generator[j]))
+			lo = lo<<8 | uint64(gfMul(byte(f), generator[j+ParityBytes/2]))
+		}
+		parityHi[f], parityLo[f] = hi, lo
+	}
+}
 
 func buildGenerator(nparity int) []byte {
 	g := []byte{1}
@@ -47,30 +65,47 @@ func buildGenerator(nparity int) []byte {
 	return g
 }
 
+// parity returns the remainder of data·x¹⁶ divided by g(x) — the 16 parity
+// bytes of systematic encoding — as its big-endian high and low halves.
+// Each data byte shifts the remainder one coefficient up and folds the
+// outgoing coefficient back in through one table row.
+func parity(data []byte) (hi, lo uint64) {
+	for _, d := range data {
+		f := d ^ byte(hi>>56)
+		hi = (hi<<8 | lo>>56) ^ parityHi[f]
+		lo = lo<<8 ^ parityLo[f]
+	}
+	return hi, lo
+}
+
+// clean reports whether block (data‖16 parity bytes) is a codeword. For a
+// systematic code this is exactly "all 16 syndromes vanish": the received
+// word r = d′·x¹⁶ + p′ has every α^i (i < 16) as a root iff g divides r,
+// iff p′ equals d′·x¹⁶ mod g, the parity the encoder would compute.
+func clean(block []byte) bool {
+	n := len(block) - ParityBytes
+	hi, lo := parity(block[:n])
+	return hi == binary.BigEndian.Uint64(block[n:]) &&
+		lo == binary.BigEndian.Uint64(block[n+ParityBytes/2:])
+}
+
 // EncodeBlock appends the 16 parity bytes for one data block of at most 200
 // bytes, returning data‖parity. The input is not modified.
 func EncodeBlock(data []byte) ([]byte, error) {
 	if len(data) > MaxDataPerBlock {
 		return nil, ErrBlockTooLong
 	}
-	// Systematic encoding: remainder of data·x¹⁶ divided by g(x).
-	rem := make([]byte, ParityBytes)
-	for _, d := range data {
-		factor := d ^ rem[0]
-		copy(rem, rem[1:])
-		rem[ParityBytes-1] = 0
-		if factor != 0 {
-			lf := logTable[factor]
-			for j := 1; j < len(generator); j++ {
-				if generator[j] != 0 {
-					rem[j-1] ^= expTable[lf+logTable[generator[j]]]
-				}
-			}
-		}
-	}
-	out := make([]byte, 0, len(data)+ParityBytes)
-	out = append(out, data...)
-	return append(out, rem...), nil
+	out := make([]byte, len(data)+ParityBytes)
+	encodeBlock(out, data)
+	return out, nil
+}
+
+// encodeBlock writes data‖parity into dst[:len(data)+ParityBytes].
+func encodeBlock(dst, data []byte) {
+	n := copy(dst, data)
+	hi, lo := parity(data)
+	binary.BigEndian.PutUint64(dst[n:], hi)
+	binary.BigEndian.PutUint64(dst[n+ParityBytes/2:], lo)
 }
 
 // DecodeBlock corrects up to 8 byte errors in a block produced by
@@ -83,19 +118,34 @@ func DecodeBlock(block []byte) (data []byte, corrected int, err error) {
 	if len(block) > MaxDataPerBlock+ParityBytes {
 		return nil, 0, ErrBlockTooLong
 	}
-	msg := append([]byte(nil), block...)
+	return appendBlock(make([]byte, 0, len(block)), block)
+}
 
+// appendBlock appends the corrected data portion of block to out. A clean
+// block's data is appended as received. A block that fails the parity check
+// is appended whole, parity included, and corrected in place there.
+func appendBlock(out, block []byte) ([]byte, int, error) {
+	n := len(block) - ParityBytes
+	if clean(block) {
+		return append(out, block[:n]...), 0, nil
+	}
+	start := len(out)
+	out = append(out, block...)
+	corrected, err := correct(out[start:])
+	if err != nil {
+		return nil, 0, err
+	}
+	return out[:start+n], corrected, nil
+}
+
+// correct repairs msg (data‖parity, not a codeword) in place by syndrome
+// computation, Berlekamp–Massey, Chien search and Forney's algorithm, and
+// returns the number of corrected byte errors.
+func correct(msg []byte) (int, error) {
 	// Syndromes S_i = r(α^i), i = 0..15.
 	syndromes := make([]byte, ParityBytes)
-	clean := true
 	for i := range syndromes {
 		syndromes[i] = polyEval(msg, gfExp(i))
-		if syndromes[i] != 0 {
-			clean = false
-		}
-	}
-	if clean {
-		return msg[:len(msg)-ParityBytes], 0, nil
 	}
 
 	// Berlekamp–Massey: find the error-locator polynomial Λ (low-order
@@ -103,14 +153,14 @@ func DecodeBlock(block []byte) (data []byte, corrected int, err error) {
 	lambda := berlekampMassey(syndromes)
 	numErrors := len(lambda) - 1
 	if numErrors > MaxCorrectableErrors {
-		return nil, 0, ErrTooManyErrors
+		return 0, ErrTooManyErrors
 	}
 
 	// Chien search over the shortened code's positions.
 	positions := chienSearch(lambda, len(msg))
 	if len(positions) != numErrors {
 		// Locator degree disagrees with its root count: uncorrectable.
-		return nil, 0, ErrTooManyErrors
+		return 0, ErrTooManyErrors
 	}
 
 	// Forney: error magnitudes from the evaluator polynomial
@@ -138,7 +188,7 @@ func DecodeBlock(block []byte) (data []byte, corrected int, err error) {
 		// coefficients, evaluated at (X⁻¹)².
 		den := polyEvalLow(lambdaPrime, gfMul(xInv, xInv))
 		if den == 0 {
-			return nil, 0, ErrTooManyErrors
+			return 0, ErrTooManyErrors
 		}
 		// Forney with first consecutive root b = 0 (syndromes S_i = r(α^i),
 		// i ≥ 0): e = X^(1-b) · Ω(X⁻¹)/Λ'(X⁻¹) = X · Ω(X⁻¹)/Λ'(X⁻¹).
@@ -146,13 +196,11 @@ func DecodeBlock(block []byte) (data []byte, corrected int, err error) {
 		msg[pos] ^= magnitude
 	}
 
-	// Verify: all syndromes of the corrected word must vanish.
-	for i := 0; i < ParityBytes; i++ {
-		if polyEval(msg, gfExp(i)) != 0 {
-			return nil, 0, ErrTooManyErrors
-		}
+	// Verify: the corrected word must be a codeword (all syndromes vanish).
+	if !clean(msg) {
+		return 0, ErrTooManyErrors
 	}
-	return msg[:len(msg)-ParityBytes], numErrors, nil
+	return numErrors, nil
 }
 
 // berlekampMassey returns the error-locator polynomial (low-order first)
@@ -227,26 +275,32 @@ func chienSearch(lambda []byte, msgLen int) []int {
 // "⌈x/200⌉ × 16 B" Reed–Solomon field. The block structure is implicit in
 // the length, so Decode can invert it knowing only the payload length.
 func Encode(data []byte) []byte {
-	nblocks := (len(data) + MaxDataPerBlock - 1) / MaxDataPerBlock
-	if nblocks == 0 {
-		nblocks = 1 // a zero-length payload still carries one parity group
-	}
-	out := make([]byte, 0, len(data)+nblocks*ParityBytes)
-	for b := 0; b < nblocks; b++ {
-		lo := b * MaxDataPerBlock
-		hi := lo + MaxDataPerBlock
-		if hi > len(data) {
-			hi = len(data)
-		}
-		enc, err := EncodeBlock(data[lo:hi])
-		if err != nil {
-			// Unreachable: blocks are cut to MaxDataPerBlock above.
-			//lint:ignore apipanic EncodeBlock only fails on oversized blocks, which the slicing above rules out
-			panic(err)
-		}
-		out = append(out, enc...)
-	}
+	out := make([]byte, len(data)+Overhead(len(data)))
+	EncodeTo(out, data)
 	return out
+}
+
+// EncodeTo writes Encode(data) into dst, which must hold at least
+// len(data)+Overhead(len(data)) bytes, and returns the number of bytes
+// written. It does not allocate, so a caller that reserves the region in
+// its own frame buffer encodes in place.
+//
+//lint:hotpath
+func EncodeTo(dst, data []byte) int {
+	off := 0
+	for {
+		n := len(data)
+		if n > MaxDataPerBlock {
+			n = MaxDataPerBlock
+		}
+		encodeBlock(dst[off:off+n+ParityBytes], data[:n])
+		off += n + ParityBytes
+		data = data[n:]
+		if len(data) == 0 {
+			// A zero-length payload still carries one parity group.
+			return off
+		}
+	}
 }
 
 // Decode reverses Encode given the original data length, correcting up to
@@ -256,29 +310,24 @@ func Decode(encoded []byte, dataLen int) ([]byte, int, error) {
 	if dataLen < 0 {
 		return nil, 0, fmt.Errorf("rs: negative data length %d", dataLen)
 	}
-	nblocks := (dataLen + MaxDataPerBlock - 1) / MaxDataPerBlock
-	if nblocks == 0 {
-		nblocks = 1
-	}
-	if want := dataLen + nblocks*ParityBytes; len(encoded) != want {
+	if want := dataLen + Overhead(dataLen); len(encoded) != want {
 		return nil, 0, fmt.Errorf("rs: encoded length %d does not match data length %d (want %d)", len(encoded), dataLen, want)
 	}
 	out := make([]byte, 0, dataLen)
 	total := 0
-	off := 0
-	for b := 0; b < nblocks; b++ {
-		dlen := MaxDataPerBlock
-		if rem := dataLen - b*MaxDataPerBlock; rem < dlen {
-			dlen = rem
+	for b := 0; len(encoded) > 0; b++ {
+		n := len(encoded)
+		if n > MaxDataPerBlock+ParityBytes {
+			n = MaxDataPerBlock + ParityBytes
 		}
-		blockLen := dlen + ParityBytes
-		data, corrected, err := DecodeBlock(encoded[off : off+blockLen])
+		var corrected int
+		var err error
+		out, corrected, err = appendBlock(out, encoded[:n])
 		if err != nil {
 			return nil, 0, fmt.Errorf("rs: block %d: %w", b, err)
 		}
-		out = append(out, data...)
 		total += corrected
-		off += blockLen
+		encoded = encoded[n:]
 	}
 	return out, total, nil
 }

@@ -319,3 +319,33 @@ func BenchmarkDecodeBlockEightErrors(b *testing.B) {
 		}
 	}
 }
+
+// reportPayload is a report-sized payload: 1 800 bytes, nine full blocks.
+func reportPayload() []byte {
+	data := make([]byte, 1800)
+	rand.New(rand.NewSource(1)).Read(data)
+	return data
+}
+
+func BenchmarkEncodeReport(b *testing.B) {
+	data := reportPayload()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = Encode(data)
+	}
+}
+
+func BenchmarkDecodeReportClean(b *testing.B) {
+	data := reportPayload()
+	enc := Encode(data)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Decode(enc, len(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,10 +1,11 @@
 package workload
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"math"
 	"math/rand"
-	"strings"
 
 	"densevlc/internal/channel"
 	"densevlc/internal/geom"
@@ -41,7 +42,12 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one entry of the engine's append-only churn trace.
+// traceTail is how many of the most recent events the engine keeps. The
+// trace grows to 2·traceTail events, then folds the oldest traceTail into
+// a running digest, so a long run holds bounded memory.
+const traceTail = 1024
+
+// Event is one entry of the engine's churn trace.
 type Event struct {
 	// Epoch and Time locate the event at the round boundary it happened on.
 	Epoch int
@@ -95,7 +101,12 @@ type Engine struct {
 	parked []geom.Vec // where a free slot's dark photodiode rests
 	nextID int
 	epoch  int
-	trace  []Event
+
+	// trace holds the retained events; evicted counts the older ones whose
+	// canonical lines were folded into digest.
+	trace   []Event
+	evicted int
+	digest  hash.Hash
 }
 
 // NewEngine validates the spec and builds an empty population over the
@@ -120,6 +131,7 @@ func NewEngine(sp Spec, setup scenario.Setup, budget units.Watts, rng *rand.Rand
 		xMax: setup.Room.Width - margin, yMax: setup.Room.Depth - margin,
 		slots:  make([]*user, sp.Fleet),
 		parked: make([]geom.Vec, sp.Fleet),
+		digest: sha256.New(),
 	}
 	center := geom.V(setup.Room.Width.M()/2, setup.Room.Depth.M()/2, 0)
 	for i := range e.parked {
@@ -184,7 +196,7 @@ func (e *Engine) Step(t, dt units.Seconds) StepStats {
 		e.parked[i] = u.traj.Position(t)
 		e.slots[i] = nil
 		st.Departures++
-		e.trace = append(e.trace, Event{Epoch: e.epoch, Time: t, Kind: EventDepart, User: u.id, Slot: i, Population: e.Population()})
+		e.record(Event{Epoch: e.epoch, Time: t, Kind: EventDepart, User: u.id, Slot: i, Population: e.Population()})
 	}
 
 	for _, u := range e.slots {
@@ -198,7 +210,7 @@ func (e *Engine) Step(t, dt units.Seconds) StepStats {
 		slot := e.freeSlot()
 		if slot < 0 || e.Population() >= e.capacity() {
 			st.Rejections++
-			e.trace = append(e.trace, Event{Epoch: e.epoch, Time: t, Kind: EventReject, User: e.nextID, Slot: -1, Population: e.Population()})
+			e.record(Event{Epoch: e.epoch, Time: t, Kind: EventReject, User: e.nextID, Slot: -1, Population: e.Population()})
 			e.nextID++
 			continue
 		}
@@ -212,7 +224,7 @@ func (e *Engine) Step(t, dt units.Seconds) StepStats {
 		e.nextID++
 		e.slots[slot] = u
 		st.Arrivals++
-		e.trace = append(e.trace, Event{Epoch: e.epoch, Time: t, Kind: EventArrive, User: u.id, Slot: slot, Population: e.Population()})
+		e.record(Event{Epoch: e.epoch, Time: t, Kind: EventArrive, User: u.id, Slot: slot, Population: e.Population()})
 	}
 
 	st.Population = e.Population()
@@ -288,18 +300,47 @@ func (s slotTrajectory) Position(t units.Seconds) geom.Vec {
 	return s.e.Position(s.slot, t)
 }
 
-// Trace returns the append-only event log (shared slice; do not mutate).
+// record appends ev to the trace. When the trace reaches 2·traceTail
+// events, the oldest traceTail are folded into the digest and dropped.
+func (e *Engine) record(ev Event) {
+	e.trace = append(e.trace, ev)
+	if len(e.trace) < 2*traceTail {
+		return
+	}
+	var line []byte
+	for _, old := range e.trace[:traceTail] {
+		line = appendEventLine(line[:0], old)
+		_, _ = e.digest.Write(line) // hash.Hash's Write is documented to never fail
+	}
+	e.evicted += traceTail
+	e.trace = e.trace[:copy(e.trace, e.trace[traceTail:])]
+}
+
+// Trace returns the retained events in order: the whole history until the
+// first fold, the most recent traceTail to 2·traceTail−1 after it (shared
+// slice; do not mutate).
 func (e *Engine) Trace() []Event { return e.trace }
 
 // TraceBytes renders the trace canonically, one event per line, so two runs
-// can be compared byte for byte.
+// can be compared byte for byte. Once events have been evicted it starts
+// with one header line, "# <n> earlier events sha256=<hex>", whose digest
+// is the SHA-256 of the lines those n events would have rendered; a
+// comparison of TraceBytes therefore still covers the whole history.
 func (e *Engine) TraceBytes() []byte {
-	var b strings.Builder
-	for _, ev := range e.trace {
-		fmt.Fprintf(&b, "%d %.3f %s user=%d slot=%d pop=%d\n",
-			ev.Epoch, ev.Time.S(), ev.Kind, ev.User, ev.Slot, ev.Population)
+	b := make([]byte, 0, 48*len(e.trace)+64)
+	if e.evicted > 0 {
+		b = fmt.Appendf(b, "# %d earlier events sha256=%x\n", e.evicted, e.digest.Sum(nil))
 	}
-	return []byte(b.String())
+	for _, ev := range e.trace {
+		b = appendEventLine(b, ev)
+	}
+	return b
+}
+
+// appendEventLine appends ev's canonical trace line to b.
+func appendEventLine(b []byte, ev Event) []byte {
+	return fmt.Appendf(b, "%d %.3f %s user=%d slot=%d pop=%d\n",
+		ev.Epoch, ev.Time.S(), ev.Kind, ev.User, ev.Slot, ev.Population)
 }
 
 // poisson draws a Poisson(lambda) count by Knuth's product method — exact,

@@ -2,7 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"densevlc/internal/channel"
@@ -25,6 +28,22 @@ func run(e *Engine, epochs int) []StepStats {
 	out := make([]StepStats, 0, epochs)
 	for k := 0; k < epochs; k++ {
 		out = append(out, e.Step(units.Seconds(k), 1))
+	}
+	return out
+}
+
+// runEvents is run for a history longer than the retained trace: it
+// collects every event as its epoch completes, before any fold drops it.
+func runEvents(e *Engine, epochs int) []Event {
+	var out []Event
+	for k := 0; k < epochs; k++ {
+		e.Step(units.Seconds(k), 1)
+		tr := e.Trace()
+		i := len(tr)
+		for i > 0 && tr[i-1].Epoch == k {
+			i--
+		}
+		out = append(out, tr[i:]...)
 	}
 	return out
 }
@@ -162,11 +181,10 @@ func TestEngineDwellMean(t *testing.T) {
 	sp.MeanDwell = 6
 	sp.Fleet = 64
 	e := testEngine(t, sp, 9)
-	run(e, 3000)
 
 	arrived := make(map[int]float64)
 	var dwells []float64
-	for _, ev := range e.Trace() {
+	for _, ev := range runEvents(e, 3000) {
 		switch ev.Kind {
 		case EventArrive:
 			arrived[ev.User] = ev.Time.S()
@@ -291,5 +309,83 @@ func TestEngineTrajectoriesMirrorPositions(t *testing.T) {
 				t.Fatalf("epoch %d slot %d: trajectory %v != engine position %v", k, i, got, want)
 			}
 		}
+	}
+}
+
+// TestEngineTraceBounded runs 10⁵ epochs: the retained trace never exceeds
+// 2·traceTail events, same-seed runs still render identical TraceBytes, and
+// the digest header tells two seeds apart. Users stand still: a walking
+// user's trajectory is replayed from time zero on its first position query,
+// which would make the run quadratic in its length.
+func TestEngineTraceBounded(t *testing.T) {
+	const epochs = 100_000
+	sp := DefaultSpec()
+	sp.ArrivalRate = 0.1
+	sp.MeanDwell = 5
+	sp.Speed = 0
+	rendered := make([][]byte, 3)
+	for k, seed := range []int64{1, 1, 2} {
+		e := testEngine(t, sp, seed)
+		for ep := 0; ep < epochs; ep++ {
+			e.Step(units.Seconds(ep), 1)
+			if n := len(e.Trace()); n > 2*traceTail {
+				t.Fatalf("seed %d epoch %d: %d retained events exceed %d", seed, ep, n, 2*traceTail)
+			}
+		}
+		if e.evicted == 0 {
+			t.Fatalf("seed %d: nothing evicted in %d epochs", seed, epochs)
+		}
+		rendered[k] = e.TraceBytes()
+	}
+	if !bytes.Equal(rendered[0], rendered[1]) {
+		t.Error("same-seed traces diverged")
+	}
+	header := func(b []byte) string { return string(b[:bytes.IndexByte(b, '\n')]) }
+	for _, b := range rendered {
+		if !strings.HasPrefix(header(b), "# ") {
+			t.Fatalf("no digest header: %q", header(b))
+		}
+	}
+	if header(rendered[0]) == header(rendered[2]) {
+		t.Errorf("seeds 1 and 2 share the header %q", header(rendered[0]))
+	}
+}
+
+// TestEngineTraceDigest pins what the bounded trace renders: with nothing
+// evicted, exactly the canonical line per event; after eviction, a header
+// whose digest is the SHA-256 of the evicted events' lines, followed by the
+// retained events' lines.
+func TestEngineTraceDigest(t *testing.T) {
+	render := func(evs []Event) []byte {
+		var b strings.Builder
+		for _, ev := range evs {
+			fmt.Fprintf(&b, "%d %.3f %s user=%d slot=%d pop=%d\n",
+				ev.Epoch, ev.Time.S(), ev.Kind, ev.User, ev.Slot, ev.Population)
+		}
+		return []byte(b.String())
+	}
+	sp := DefaultSpec()
+	sp.ArrivalRate = 2
+	sp.MeanDwell = 3
+	sp.Fleet = 4
+
+	e := testEngine(t, sp, 5)
+	run(e, 40)
+	if e.evicted != 0 || !bytes.Equal(e.TraceBytes(), render(e.Trace())) {
+		t.Fatal("un-evicted trace does not render one canonical line per event")
+	}
+
+	e = testEngine(t, sp, 5)
+	all := runEvents(e, 3000)
+	if e.evicted == 0 {
+		t.Fatal("nothing evicted")
+	}
+	if e.evicted+len(e.Trace()) != len(all) {
+		t.Fatalf("%d evicted + %d retained != %d events", e.evicted, len(e.Trace()), len(all))
+	}
+	want := fmt.Sprintf("# %d earlier events sha256=%x\n", e.evicted, sha256.Sum256(render(all[:e.evicted])))
+	want += string(render(all[e.evicted:]))
+	if got := string(e.TraceBytes()); got != want {
+		t.Errorf("TraceBytes header or body wrong:\n%.200s\nwant\n%.200s", got, want)
 	}
 }

@@ -16,8 +16,9 @@
 //
 // Everything the engine does is deterministic for a given seed: arrivals,
 // dwell draws, per-user motion and traffic all derive from streams split off
-// one root RNG, in a fixed evaluation order, and the append-only event
-// Trace renders to canonical bytes so two runs can be compared exactly.
+// one root RNG, in a fixed evaluation order, and the event Trace renders to
+// canonical bytes so two runs can be compared exactly (a long run keeps only
+// its recent events, behind a digest of the evicted ones).
 package workload
 
 import (
