@@ -25,18 +25,17 @@ func CrossCorrelate(signal, template []float64) []float64 {
 	}
 
 	out := make([]float64, len(signal)-n+1)
-	// Rolling window energy.
+	dotLags(out, signal, template)
+	// Rolling window energy, then normalisation in place.
 	var wEnergy float64
 	for i := 0; i < n; i++ {
 		wEnergy += signal[i] * signal[i]
 	}
-	for k := range out {
-		dot := 0.0
-		for i := 0; i < n; i++ {
-			dot += signal[k+i] * template[i]
-		}
+	for k, dot := range out {
 		if wEnergy > 0 {
 			out[k] = dot / (math.Sqrt(wEnergy) * tNorm)
+		} else {
+			out[k] = 0
 		}
 		if k+n < len(signal) {
 			wEnergy += signal[k+n]*signal[k+n] - signal[k]*signal[k]
@@ -46,6 +45,42 @@ func CrossCorrelate(signal, template []float64) []float64 {
 		}
 	}
 	return out
+}
+
+// dotLags writes the raw dot product Σ_i signal[k+i]·template[i] into
+// out[k] for every lag k < len(out); signal must hold len(out)+len(template)−1
+// samples. Lags are computed eight at a time with one accumulator each, so
+// the loop is bound by multiply-add throughput rather than by the latency of
+// a single add chain. Every accumulator still sums its products in template
+// order, so each value is bit-identical to the one-lag-at-a-time loop.
+func dotLags(out, signal, template []float64) {
+	n := len(template)
+	k := 0
+	for ; k+8 <= len(out); k += 8 {
+		s := signal[k : k+n+7]
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for i, t := range template {
+			w := s[i : i+8 : i+8]
+			a0 += w[0] * t
+			a1 += w[1] * t
+			a2 += w[2] * t
+			a3 += w[3] * t
+			a4 += w[4] * t
+			a5 += w[5] * t
+			a6 += w[6] * t
+			a7 += w[7] * t
+		}
+		o := out[k : k+8 : k+8]
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+	for ; k < len(out); k++ {
+		s := signal[k : k+n]
+		dot := 0.0
+		for i, t := range template {
+			dot += s[i] * t
+		}
+		out[k] = dot
+	}
 }
 
 // FindPeak returns the index and value of the maximum of xs, or (-1, 0) for

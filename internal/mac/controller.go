@@ -47,7 +47,6 @@ type Controller struct {
 	gains   [][]float64 // gains[tx][rx], latest reports
 	fresh   []bool      // fresh[rx]: a report arrived since last Reallocate
 	seq     uint16
-	acked   map[uint16]bool
 	current Plan
 
 	// Event-driven trigger state: the gain snapshot the current plan was
@@ -128,7 +127,6 @@ func NewController(n, m int, policy alloc.Policy, budget units.Watts, params cha
 		DeadAfterEpochs: 2,
 		gains:           g,
 		fresh:           make([]bool, m),
-		acked:           make(map[uint16]bool),
 		txEverSeen:      make([]bool, n),
 		txZeroEpochs:    make([]int, n),
 		txState:         make([]LinkState, n),
@@ -174,12 +172,10 @@ func (c *Controller) HandleUplink(m frame.MAC) error {
 		c.fresh[rep.RX] = true
 		return nil
 	case ProtoAck:
-		ack, err := DecodeAck(m.Payload)
-		if err != nil {
-			return err
-		}
-		c.acked[ack.Seq] = true
-		return nil
+		// Delivery is tracked by the sender's ARQ; the controller only
+		// validates the ack.
+		_, err := DecodeAck(m.Payload)
+		return err
 	default:
 		return fmt.Errorf("mac: unexpected uplink protocol 0x%04x", m.Protocol)
 	}
@@ -195,10 +191,6 @@ func (c *Controller) HaveFreshReports() bool {
 	}
 	return true
 }
-
-// Acked reports whether the data frame with the given sequence number was
-// acknowledged.
-func (c *Controller) Acked(seq uint16) bool { return c.acked[seq] }
 
 // Env snapshots the controller's current channel knowledge as an
 // allocation environment. Rows of transmitters the health tracker has

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -234,18 +235,23 @@ func TestControllerFullCycle(t *testing.T) {
 		t.Error("unrelated TX addressed")
 	}
 
-	// Receiver handles the data frame and produces an ack the controller
-	// accepts.
+	// Receiver handles the data frame and produces an ack for its sequence
+	// number that the controller accepts; a truncated ack is rejected.
 	rxNode := NewRXNode(0, 36)
 	payload, ackFrame, ok := rxNode.HandleData(df.MAC)
 	if !ok || !bytes.Equal(payload, []byte("hello")) {
 		t.Fatalf("rx decode failed: ok=%v payload=%q", ok, payload)
 	}
+	if ack, err := DecodeAck(ackFrame.Payload); err != nil || ack.Seq != seq || ack.RX != 0 {
+		t.Errorf("ack = %+v, %v; want RX 0 seq %d", ack, err, seq)
+	}
 	if err := c.HandleUplink(ackFrame); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Acked(seq) {
-		t.Error("ack not registered")
+	short := ackFrame
+	short.Payload = ackFrame.Payload[:len(ackFrame.Payload)-1]
+	if err := c.HandleUplink(short); !errors.Is(err, ErrShortMessage) {
+		t.Errorf("truncated ack: err = %v, want ErrShortMessage", err)
 	}
 }
 

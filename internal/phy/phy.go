@@ -80,7 +80,8 @@ type Link struct {
 	cfg     Config
 	rng     *rand.Rand
 	chipDur float64
-	spc     int // samples per chip (approximate, for the decoder)
+	spc     int       // samples per chip (approximate, for the decoder)
+	tmpl    []float64 // preamble chips upsampled to spc, the correlation template
 }
 
 // NewLink builds a link simulator.
@@ -93,7 +94,8 @@ func NewLink(cfg Config, rng *rand.Rand) (*Link, error) {
 	if spc < 1 {
 		spc = 1
 	}
-	return &Link{cfg: cfg, rng: rng, chipDur: chipDur, spc: spc}, nil
+	tmpl := dsp.Upsample(frame.PreambleChips(), spc)
+	return &Link{cfg: cfg, rng: rng, chipDur: chipDur, spc: spc, tmpl: tmpl}, nil
 }
 
 // airChips builds the on-air chip sequence of a MAC frame: preamble followed
@@ -133,34 +135,31 @@ func (l *Link) Transmit(mac frame.MAC, txs []TXSignal) ([]float64, int, error) {
 	dur := lead + float64(len(chips))*l.chipDur + maxOff + 8*l.chipDur
 	n := int(dur * l.cfg.SampleRate.Hz())
 
-	phase := l.rng.Float64() / l.cfg.SampleRate.Hz()
+	rate := l.cfg.SampleRate.Hz()
+	phase := l.rng.Float64() / rate
 	samples := make([]float64, n)
-	for k := range samples {
-		t := phase + float64(k)/l.cfg.SampleRate.Hz()
-		v := 0.0
+	// Transmitters outer, samples inner, over blocks of samples whose
+	// times t−lead are computed once and shared by every transmitter. Each
+	// sample still sums the transmitters in order starting from 0, so the
+	// result is bit-identical to summing per sample.
+	var times [256]float64
+	for k0 := 0; k0 < n; k0 += len(times) {
+		tl := times[:min(len(times), n-k0)]
+		for j := range tl {
+			t := phase + float64(k0+j)/rate
+			tl[j] = t - lead
+		}
+		out := samples[k0 : k0+len(tl)]
 		for _, tx := range txs {
-			ct := t - lead - tx.Offset.S()
-			chipDur := l.chipDur * (1 + tx.ClockPPM*1e-6)
-			if tx.Continuous {
-				idx := int(math.Floor(ct/chipDur)) % len(chips)
-				if idx < 0 {
-					idx += len(chips)
-				}
-				v += tx.Amplitude.A() * chips[idx]
-				continue
-			}
-			if ct < 0 {
-				continue
-			}
-			idx := int(ct / chipDur)
-			if idx < len(chips) {
-				v += tx.Amplitude.A() * chips[idx]
-			}
+			superpose(out, tl, tx, l.chipDur, chips)
 		}
-		if l.cfg.NoiseStd > 0 {
-			v += l.cfg.NoiseStd.A() * l.rng.NormFloat64()
+	}
+	// Noise is drawn in its own pass, in sample order, so the RNG stream
+	// matches a per-sample draw.
+	if l.cfg.NoiseStd > 0 {
+		for k := range samples {
+			samples[k] += l.cfg.NoiseStd.A() * l.rng.NormFloat64()
 		}
-		samples[k] = v
 	}
 
 	if l.cfg.FrontEnd {
@@ -191,6 +190,42 @@ func (l *Link) Transmit(mac frame.MAC, txs []TXSignal) ([]float64, int, error) {
 	return samples, rawLen, nil
 }
 
+// superpose adds one transmitter's chips into out, where tl[k] is sample
+// k's time t−lead since the end of the capture's lead-in.
+func superpose(out, tl []float64, tx TXSignal, nominalChip float64, chips []float64) {
+	off := tx.Offset.S()
+	chipDur := nominalChip * (1 + tx.ClockPPM*1e-6)
+	amp := tx.Amplitude.A()
+	if tx.Continuous {
+		// The chip index advances once per several samples, so the
+		// modulo is redone only when the raw index changes.
+		prev, idx := 0, 0
+		for k, t := range tl {
+			ct := t - off
+			raw := int(math.Floor(ct / chipDur))
+			if k == 0 || raw != prev {
+				prev = raw
+				idx = raw % len(chips)
+				if idx < 0 {
+					idx += len(chips)
+				}
+			}
+			out[k] += amp * chips[idx]
+		}
+		return
+	}
+	for k, t := range tl {
+		ct := t - off
+		if ct < 0 {
+			continue
+		}
+		idx := int(ct / chipDur)
+		if idx < len(chips) {
+			out[k] += amp * chips[idx]
+		}
+	}
+}
+
 func aggregateAmplitude(txs []TXSignal) float64 {
 	a := 0.0
 	for _, tx := range txs {
@@ -205,14 +240,13 @@ func aggregateAmplitude(txs []TXSignal) float64 {
 // capture). It returns the decoded frame and the number of Reed–Solomon
 // corrections applied.
 func (l *Link) Receive(samples []float64, rawLen int) (frame.MAC, int, error) {
-	tmpl := dsp.Upsample(frame.PreambleChips(), l.spc)
-	corr := dsp.CrossCorrelate(samples, tmpl)
+	corr := dsp.CrossCorrelate(samples, l.tmpl)
 	peak, peakV := dsp.FindPeak(corr)
 	if peak < 0 || peakV < 0.5 {
 		return frame.MAC{}, 0, fmt.Errorf("%w: best correlation %.2f", ErrNoPreamble, peakV)
 	}
 
-	start := peak + len(tmpl)
+	start := peak + len(l.tmpl)
 	need := rawLen * 8 * 2 // bits → chips
 	chips := dsp.Downsample(samples, l.spc, start)
 	if len(chips) < need {

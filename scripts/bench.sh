@@ -3,7 +3,7 @@
 # engine. Runs the paired macro benchmarks (before/after against a baseline
 # git ref), the building-scale sharded-vs-global decision pair, the
 # incremental re-allocation pairs, the zero-alloc kernel micros and the new
-# churn workload benchmarks, then writes BENCH_pr10.json at the repo root.
+# churn workload benchmarks, then writes a JSON report to the given path.
 # The headline numbers are sustained_decisions_per_sec (dirty-tracked
 # sharded solves per wall second on the N=1024, M=256 floor with the
 # workload engine churning the population every epoch) and frames_per_sec
@@ -11,18 +11,29 @@
 # node MAC/transport runtime under churn), with decision_p50_ns /
 # decision_p99_ns as the latency distribution behind the throughput. Usage:
 #
-#     ./scripts/bench.sh [output.json] [baseline-ref]
+#     ./scripts/bench.sh output.json [baseline-ref]
 #
+# The output path is required; a relative path is taken from the current
+# directory.
 # The baseline runs from a temporary worktree under .bench-baseline/ and
 # only covers benchmarks that exist at that ref (default: HEAD — run this
 # with the PR's changes uncommitted, or pass the pre-PR commit explicitly).
-# The churn benchmarks are new in this PR, so they appear after-only. Pass
-# an empty baseline-ref ("") to skip the before side.
+# Benchmarks missing at the baseline ref appear after-only. Pass an empty
+# baseline-ref ("") to skip the before side.
 set -euo pipefail
+
+usage() {
+    echo "usage: $0 output.json [baseline-ref]" >&2
+    exit 2
+}
+[[ $# -ge 1 && -n "$1" ]] || usage
+case "$1" in
+    /*) out="$1" ;;
+    *) out="$PWD/$1" ;;
+esac
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_pr10.json}"
 baseline="${2-HEAD}"
 
 # Static/dynamic alignment gate: every function whose allocs/op the bench
