@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -136,5 +137,25 @@ func TestUpdateColumnIsAllocationFree(t *testing.T) {
 	dst := make([]float64, m.N)
 	if n := testing.AllocsPerRun(100, func() { m.ColumnInto(dst, 3) }); n != 0 {
 		t.Errorf("ColumnInto allocates %.1f times, want 0", n)
+	}
+}
+
+// BenchmarkUpdateColumn225 times one receiver's column refresh over a
+// 15×15 ceiling grid at the paper's 0.5 m spacing, 15° half-power angle
+// and 90° receiver FOV: the per-tenant kernel behind the floor's column
+// refresh.
+func BenchmarkUpdateColumn225(b *testing.B) {
+	const side = 15
+	emitters := make([]optics.Emitter, side*side)
+	for j := range emitters {
+		pos := geom.V(float64(j%side)*0.5+0.25, float64(j/side)*0.5+0.25, 2.8)
+		emitters[j] = optics.NewDownwardEmitter(pos, 15*math.Pi/180)
+	}
+	m := NewMatrix(len(emitters), 1)
+	det := testDetector(3.1, 4.2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.UpdateColumn(0, emitters, det, nil)
 	}
 }

@@ -95,7 +95,10 @@ func Gain(e Emitter, d Detector) float64 {
 	if cosPsi <= 0 {
 		return 0 // light arrives from behind the photodiode
 	}
-	if math.Acos(clamp1(cosPsi)) > d.FOV.Rad() {
+	// The FOV gate can only fire for Ψc < 90°: with cosPsi > 0, Acos
+	// returns at most float64(π/2), and a NaN never passes the comparison,
+	// so skipping it at Ψc ≥ 90° (Table 1's receiver) changes no bit.
+	if fov := d.FOV.Rad(); fov < math.Pi/2 && math.Acos(clamp1(cosPsi)) > fov {
 		return 0
 	}
 

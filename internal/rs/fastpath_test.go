@@ -68,20 +68,82 @@ func syndromesVanish(block []byte) bool {
 	return true
 }
 
-// TestParityTableRows pins every table row f to f·g₁…g₁₆. An all-zero table
-// — what an init that runs before the field tables are filled leaves —
-// fails here, not only in a round trip.
+// TestParityTableRows pins every byte-table row f (row 7 of the sliced
+// tables) to f·g₁…g₁₆. An all-zero table — what an init that runs before
+// the field tables are filled leaves — fails here, not only in a round trip.
 func TestParityTableRows(t *testing.T) {
 	for f := 0; f < fieldSize; f++ {
 		for j := 1; j <= ParityBytes; j++ {
 			var got byte
 			if j <= ParityBytes/2 {
-				got = byte(parityHi[f] >> (8 * (ParityBytes/2 - j)))
+				got = byte(parityHi[7][f] >> (8 * (ParityBytes/2 - j)))
 			} else {
-				got = byte(parityLo[f] >> (8 * (ParityBytes - j)))
+				got = byte(parityLo[7][f] >> (8 * (ParityBytes - j)))
 			}
 			if want := gfMul(byte(f), generator[j]); got != want {
 				t.Fatalf("row %d coefficient %d = %#02x, want %#02x", f, j, got, want)
+			}
+		}
+	}
+}
+
+// refByteTable is the byte-at-a-time reduction table built from the
+// bit-serial generator: row f is f·g₁…g₁₆ packed big-endian.
+func refByteTable() (hi, lo [fieldSize]uint64) {
+	g := refGenerator()
+	for f := 0; f < fieldSize; f++ {
+		for j := 1; j <= ParityBytes/2; j++ {
+			hi[f] = hi[f]<<8 | uint64(refMul(byte(f), g[j]))
+			lo[f] = lo[f]<<8 | uint64(refMul(byte(f), g[j+ParityBytes/2]))
+		}
+	}
+	return hi, lo
+}
+
+// refParityBytes is the byte-at-a-time encoder the sliced parity replaced:
+// one data byte and one byte-table row per step.
+func refParityBytes(data []byte) (hi, lo uint64) {
+	for _, d := range data {
+		f := d ^ byte(hi>>56)
+		hi = (hi<<8 | lo>>56) ^ parityHi[7][f]
+		lo = lo<<8 ^ parityLo[7][f]
+	}
+	return hi, lo
+}
+
+// TestSlicedTableRows: row 7 of the sliced tables is the byte table, and
+// every row i is the byte-table row run through 7−i zero-byte steps of the
+// byte recurrence.
+func TestSlicedTableRows(t *testing.T) {
+	tabHi, tabLo := refByteTable()
+	if tabHi != parityHi[7] || tabLo != parityLo[7] {
+		t.Fatal("row 7 differs from the byte table")
+	}
+	for f := 0; f < fieldSize; f++ {
+		hi, lo := tabHi[f], tabLo[f]
+		for i := 7; i >= 0; i-- {
+			if parityHi[i][f] != hi || parityLo[i][f] != lo {
+				t.Fatalf("row %d entry %d = %016x%016x, want %016x%016x", i, f, parityHi[i][f], parityLo[i][f], hi, lo)
+			}
+			top := byte(hi >> 56)
+			hi = (hi<<8 | lo>>56) ^ tabHi[top]
+			lo = lo<<8 ^ tabLo[top]
+		}
+	}
+}
+
+// TestParityMatchesByteLoop: the sliced parity equals the byte loop for
+// every block length 0–216 at every start offset 0–7 within a backing
+// array, so every tail length and load alignment is covered.
+func TestParityMatchesByteLoop(t *testing.T) {
+	buf := make([]byte, MaxDataPerBlock+ParityBytes+8)
+	rand.New(rand.NewSource(16)).Read(buf)
+	for off := 0; off < 8; off++ {
+		for n := 0; n <= MaxDataPerBlock+ParityBytes; n++ {
+			data := buf[off : off+n]
+			hi, lo := parity(data)
+			if wantHi, wantLo := refParityBytes(data); hi != wantHi || lo != wantLo {
+				t.Fatalf("offset %d len %d: parity %016x%016x, byte loop %016x%016x", off, n, hi, lo, wantHi, wantLo)
 			}
 		}
 	}
@@ -250,5 +312,21 @@ func TestDecodeCleanAllocs(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Errorf("clean Decode: %v allocs/op, want 1", n)
+	}
+}
+
+var paritySink uint64
+
+// BenchmarkParity times the remainder reduction alone on one full
+// 200-byte block, the kernel under both EncodeTo and the clean check.
+func BenchmarkParity(b *testing.B) {
+	data := make([]byte, MaxDataPerBlock)
+	rand.New(rand.NewSource(1)).Read(data)
+	b.SetBytes(MaxDataPerBlock)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hi, lo := parity(data)
+		paritySink ^= hi ^ lo
 	}
 }

@@ -65,3 +65,22 @@ func FuzzEncodeDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParity checks the sliced parity against the byte-at-a-time loop on
+// arbitrary data at an arbitrary start offset.
+func FuzzParity(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte("seven b"), uint8(1))
+	f.Add(bytes.Repeat([]byte{0x5A}, MaxDataPerBlock), uint8(3))
+
+	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
+		if len(data) > 4*MaxDataPerBlock {
+			data = data[:4*MaxDataPerBlock]
+		}
+		data = data[min(int(off%8), len(data)):]
+		hi, lo := parity(data)
+		if wantHi, wantLo := refParityBytes(data); hi != wantHi || lo != wantLo {
+			t.Fatalf("len %d: parity %016x%016x, byte loop %016x%016x", len(data), hi, lo, wantHi, wantLo)
+		}
+	})
+}

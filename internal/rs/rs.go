@@ -31,12 +31,16 @@ var (
 // ready; a package-level initializer expression would run before them.
 var generator []byte
 
-// parityHi and parityLo are the encoder's reduction table: row f holds
-// f·g₁…g₁₆, the generator's non-leading coefficients scaled by f, packed
-// big-endian as the high and low halves of a 16-byte remainder. They are
-// filled in the same init as generator, after it, for the same reason:
-// a table built in an init that runs before gf256.go's comes out all zero.
-var parityHi, parityLo [fieldSize]uint64
+// parityHi and parityLo are the encoder's slicing-by-8 reduction tables,
+// the big-endian high and low halves of a 16-byte remainder. Row 7 is the
+// byte table: entry f holds f·g₁…g₁₆, the generator's non-leading
+// coefficients scaled by f, which is f·x¹⁶ mod g — the remainder one data
+// byte f contributes. Row i is row 7 pushed through 7−i further zero-byte
+// steps, f·x^(23−i) mod g: what data byte i of an 8-byte group contributes
+// once the other 7−i bytes have shifted in after it. They are filled in the
+// same init as generator, after it, for the same reason: a table built in
+// an init that runs before gf256.go's comes out all zero.
+var parityHi, parityLo [8][fieldSize]uint64
 
 func init() {
 	generator = buildGenerator(ParityBytes)
@@ -46,7 +50,16 @@ func init() {
 			hi = hi<<8 | uint64(gfMul(byte(f), generator[j]))
 			lo = lo<<8 | uint64(gfMul(byte(f), generator[j+ParityBytes/2]))
 		}
-		parityHi[f], parityLo[f] = hi, lo
+		parityHi[7][f], parityLo[7][f] = hi, lo
+	}
+	for i := 6; i >= 0; i-- {
+		for f := range parityHi[i] {
+			// One zero data byte: the row above times x⁸, reduced mod g.
+			hi, lo := parityHi[i+1][f], parityLo[i+1][f]
+			top := byte(hi >> 56)
+			parityHi[i][f] = (hi<<8 | lo>>56) ^ parityHi[7][top]
+			parityLo[i][f] = lo<<8 ^ parityLo[7][top]
+		}
 	}
 }
 
@@ -67,13 +80,27 @@ func buildGenerator(nparity int) []byte {
 
 // parity returns the remainder of data·x¹⁶ divided by g(x) — the 16 parity
 // bytes of systematic encoding — as its big-endian high and low halves.
-// Each data byte shifts the remainder one coefficient up and folds the
-// outgoing coefficient back in through one table row.
+// The reduction is linear, so 8 data bytes fold in per step: XORed into
+// the remainder's high half, they are the coefficients that leave it when
+// it shifts up 8 places, and each comes back in through its own table row.
+// The len%8 tail reduces one byte per step through the byte table, row 7.
 func parity(data []byte) (hi, lo uint64) {
+	for len(data) >= 8 {
+		x := hi ^ binary.BigEndian.Uint64(data)
+		hi = lo ^ parityHi[0][x>>56] ^ parityHi[1][byte(x>>48)] ^
+			parityHi[2][byte(x>>40)] ^ parityHi[3][byte(x>>32)] ^
+			parityHi[4][byte(x>>24)] ^ parityHi[5][byte(x>>16)] ^
+			parityHi[6][byte(x>>8)] ^ parityHi[7][byte(x)]
+		lo = parityLo[0][x>>56] ^ parityLo[1][byte(x>>48)] ^
+			parityLo[2][byte(x>>40)] ^ parityLo[3][byte(x>>32)] ^
+			parityLo[4][byte(x>>24)] ^ parityLo[5][byte(x>>16)] ^
+			parityLo[6][byte(x>>8)] ^ parityLo[7][byte(x)]
+		data = data[8:]
+	}
 	for _, d := range data {
 		f := d ^ byte(hi>>56)
-		hi = (hi<<8 | lo>>56) ^ parityHi[f]
-		lo = lo<<8 ^ parityLo[f]
+		hi = (hi<<8 | lo>>56) ^ parityHi[7][f]
+		lo = lo<<8 ^ parityLo[7][f]
 	}
 	return hi, lo
 }

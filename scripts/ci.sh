@@ -47,11 +47,11 @@
 #                     time-bounded: population churn exercises the handover
 #                     and admission paths end to end
 #  12. short fuzz   — a few seconds of the frame-codec, Reed–Solomon
-#                     block and round-trip, Manchester round-trip,
-#                     correlator bit-exactness, chaos-spec, cluster-spec
-#                     and workload-spec
-#                     grammar fuzzers, enough to catch regressions on the
-#                     seeded corpora plus fresh mutations
+#                     block, round-trip and sliced-parity, Manchester
+#                     round-trip, correlator bit-exactness, chaos-spec,
+#                     cluster-spec and workload-spec grammar fuzzers,
+#                     enough to catch regressions on the seeded corpora
+#                     plus fresh mutations
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -147,6 +147,7 @@ echo "==> short fuzz (frame codec, Reed–Solomon codec, Manchester demodulator,
 go test -run='^$' -fuzz='^FuzzDownlinkRoundTrip$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeBlock$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzEncodeDecode$' -fuzztime=5s ./internal/rs/
+go test -run='^$' -fuzz='^FuzzParity$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzManchesterRoundTrip$' -fuzztime=10s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzManchesterDecode$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzCrossCorrelate$' -fuzztime=5s ./internal/dsp/
