@@ -291,7 +291,7 @@ func TestADCQuantize(t *testing.T) {
 	}
 }
 
-func TestCrossCorrelateFindsTemplate(t *testing.T) {
+func TestCorrelationPeakFindsTemplate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	template := ManchesterEncode([]byte{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0})
 	signal := make([]float64, 500)
@@ -302,8 +302,7 @@ func TestCrossCorrelateFindsTemplate(t *testing.T) {
 	for i, c := range template {
 		signal[offset+i] += c
 	}
-	corr := CrossCorrelate(signal, template)
-	peak, v := FindPeak(corr)
+	peak, v := CorrelationPeak(signal, template)
 	if peak != offset {
 		t.Errorf("peak at %d, want %d", peak, offset)
 	}
@@ -312,31 +311,31 @@ func TestCrossCorrelateFindsTemplate(t *testing.T) {
 	}
 }
 
-func TestCrossCorrelateEdgeCases(t *testing.T) {
-	if CrossCorrelate(nil, []float64{1}) != nil {
-		t.Error("short signal")
+func TestCorrelationPeakEdgeCases(t *testing.T) {
+	for name, c := range map[string]struct{ signal, template []float64 }{
+		"short signal":   {nil, []float64{1}},
+		"empty template": {[]float64{1, 2}, nil},
+		"zero template":  {[]float64{1, 2}, []float64{0, 0}},
+	} {
+		if i, v := CorrelationPeak(c.signal, c.template); i != -1 || v != 0 {
+			t.Errorf("%s: got (%d, %v), want (-1, 0)", name, i, v)
+		}
 	}
-	if CrossCorrelate([]float64{1, 2}, nil) != nil {
-		t.Error("empty template")
-	}
-	if CrossCorrelate([]float64{1, 2}, []float64{0, 0}) != nil {
-		t.Error("zero template")
-	}
-	if i, _ := FindPeak(nil); i != -1 {
-		t.Error("empty peak")
+	// A silent capture scores 0 at every lag; the first lag wins the tie.
+	if i, v := CorrelationPeak(make([]float64, 40), []float64{1, -1, 1}); i != 0 || v != 0 {
+		t.Errorf("silent capture: got (%d, %v), want (0, 0)", i, v)
 	}
 }
 
-func TestCrossCorrelateNormalization(t *testing.T) {
+func TestCorrelationPeakNormalization(t *testing.T) {
 	// Perfect match yields exactly 1 regardless of scale.
 	tmpl := []float64{1, -1, 1, 1}
 	signal := make([]float64, 4)
 	for i, v := range tmpl {
 		signal[i] = 5 * v
 	}
-	corr := CrossCorrelate(signal, tmpl)
-	if math.Abs(corr[0]-1) > 1e-12 {
-		t.Errorf("corr = %v, want 1", corr[0])
+	if _, v := CorrelationPeak(signal, tmpl); math.Abs(v-1) > 1e-12 {
+		t.Errorf("corr = %v, want 1", v)
 	}
 }
 

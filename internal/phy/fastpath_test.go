@@ -191,3 +191,29 @@ func BenchmarkTransmit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReceive times the receiver on a capture of two beamspot members
+// and six free-running interferers, with receiver noise, so the preamble
+// search meets a realistic mix of lags it can drop and lags it must finish.
+// The TX set is one whose frame decodes.
+func BenchmarkReceive(b *testing.B) {
+	l, err := NewLink(Config{
+		SymbolRate: 100e3,
+		SampleRate: 1e6,
+		NoiseStd:   units.Amperes(math.Sqrt(7.02e-23 * 1e6)),
+	}, stats.NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	mac := frame.MAC{Dst: 1, Src: 2, Protocol: 0x0800, Payload: make([]byte, 64)}
+	samples, rawLen, err := l.Transmit(mac, roomTXs(stats.NewRand(1), 2, 6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := l.Receive(samples, rawLen); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -240,8 +240,7 @@ func aggregateAmplitude(txs []TXSignal) float64 {
 // capture). It returns the decoded frame and the number of Reed–Solomon
 // corrections applied.
 func (l *Link) Receive(samples []float64, rawLen int) (frame.MAC, int, error) {
-	corr := dsp.CrossCorrelate(samples, l.tmpl)
-	peak, peakV := dsp.FindPeak(corr)
+	peak, peakV := dsp.CorrelationPeak(samples, l.tmpl)
 	if peak < 0 || peakV < 0.5 {
 		return frame.MAC{}, 0, fmt.Errorf("%w: best correlation %.2f", ErrNoPreamble, peakV)
 	}

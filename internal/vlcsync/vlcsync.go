@@ -155,8 +155,7 @@ func (s *Session) Synchronize(f Follower) Result {
 		samples[k] = v + noiseStd*s.rng.NormFloat64()
 	}
 
-	corr := dsp.CrossCorrelate(samples, s.template)
-	peak, peakV := dsp.FindPeak(corr)
+	peak, peakV := dsp.CorrelationPeak(samples, s.template)
 	if peak < 0 || peakV < s.cfg.threshold() {
 		return Result{Correlation: peakV}
 	}

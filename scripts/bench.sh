@@ -41,8 +41,9 @@ baseline="${2-HEAD}"
 # internal/optimize/fastpath_test.go, internal/cluster/workspace_test.go,
 # internal/mac/sharded_test.go and trigger_test.go, the incremental
 # kernels in internal/channel/incremental_test.go and
-# internal/scenario/mover_test.go, and the codec in
-# internal/rs/fastpath_test.go) must carry the //lint:hotpath annotation,
+# internal/scenario/mover_test.go, the codec in
+# internal/rs/fastpath_test.go, and the preamble search in
+# internal/dsp/correlate_test.go) must carry the //lint:hotpath annotation,
 # so vlclint's hotalloc analyzer proves statically what AllocsPerRun samples
 # dynamically. Keep this list in sync with those tests.
 echo "==> hotpath/AllocsPerRun alignment"
@@ -62,7 +63,8 @@ for fn in \
     '(*densevlc/internal/channel.Matrix).UpdateColumn' \
     '(*densevlc/internal/channel.Matrix).ColumnInto' \
     '(*densevlc/internal/scenario.Mover).MoveRX' \
-    'densevlc/internal/rs.EncodeTo'; do
+    'densevlc/internal/rs.EncodeTo' \
+    'densevlc/internal/dsp.CorrelationPeak'; do
     if ! grep -qxF "$fn" <<<"$hot"; then
         echo "bench.sh: $fn is AllocsPerRun-gated but not //lint:hotpath-annotated (see: go run ./cmd/vlclint -graph ./...)" >&2
         exit 1

@@ -48,7 +48,9 @@
 #                     and admission paths end to end
 #  12. short fuzz   — a few seconds of the frame-codec, Reed–Solomon
 #                     block, round-trip and sliced-parity, Manchester
-#                     round-trip, correlator bit-exactness, chaos-spec,
+#                     round-trip, correlation-peak (FuzzCorrelationPeak:
+#                     the early-abandoning preamble search against the
+#                     full reference), chaos-spec,
 #                     cluster-spec and workload-spec grammar fuzzers,
 #                     enough to catch regressions on the seeded corpora
 #                     plus fresh mutations
@@ -143,14 +145,14 @@ timeout 600 go run -race ./cmd/experiments -quick churn > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
 # so each fuzzer gets its own invocation.
-echo "==> short fuzz (frame codec, Reed–Solomon codec, Manchester demodulator, correlator, chaos spec, cluster spec, workload spec)"
+echo "==> short fuzz (frame codec, Reed–Solomon codec, Manchester demodulator, correlation peak, chaos spec, cluster spec, workload spec)"
 go test -run='^$' -fuzz='^FuzzDownlinkRoundTrip$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeBlock$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzEncodeDecode$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzParity$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzManchesterRoundTrip$' -fuzztime=10s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzManchesterDecode$' -fuzztime=5s ./internal/dsp/
-go test -run='^$' -fuzz='^FuzzCrossCorrelate$' -fuzztime=5s ./internal/dsp/
+go test -run='^$' -fuzz='^FuzzCorrelationPeak$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzChaosSpec$' -fuzztime=5s ./internal/chaos/
 go test -run='^$' -fuzz='^FuzzClusterSpec$' -fuzztime=5s ./internal/cluster/
 go test -run='^$' -fuzz='^FuzzWorkloadSpec$' -fuzztime=5s ./internal/workload/
