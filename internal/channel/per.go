@@ -51,8 +51,34 @@ func ByteErrorProb(ber float64) float64 {
 	return 1 - math.Pow(1-ber, 8)
 }
 
+// lgFact[k] = ln k! = Lgamma(k+1) for k ≤ 256, filled once at package init.
+// The largest binomial FramePER asks for is one Reed–Solomon block of 216
+// bytes, so the table covers every call on the hot path; lnFact falls back
+// to math.Lgamma beyond it. A table entry is the very value Lgamma returns,
+// so a table lookup and the call it replaces give the same bits.
+var lgFact = func() (t [257]float64) {
+	for k := range t {
+		t[k], _ = math.Lgamma(float64(k + 1))
+	}
+	return t
+}()
+
+// lnFact returns ln k! = Lgamma(k+1); negative k (a caller's k < -1 in
+// BinomialTail) takes the Lgamma path like any k past the table.
+//
+//lint:hotpath
+func lnFact(k int) float64 {
+	if uint(k) < uint(len(lgFact)) {
+		return lgFact[k]
+	}
+	lg, _ := math.Lgamma(float64(k + 1))
+	return lg
+}
+
 // BinomialTail returns P(X > k) for X ~ Binomial(n, p), computed in log
 // space for stability at small p and large n.
+//
+//lint:hotpath
 func BinomialTail(n int, p float64, k int) float64 {
 	if n <= 0 || p <= 0 || k >= n {
 		return 0
@@ -63,12 +89,10 @@ func BinomialTail(n int, p float64, k int) float64 {
 	// Sum P(X = i) for i = k+1..n; stop once terms become negligible.
 	lp := math.Log(p)
 	lq := math.Log1p(-p)
+	lgN := lnFact(n)
 	total := 0.0
 	for i := k + 1; i <= n; i++ {
-		lgN, _ := math.Lgamma(float64(n + 1))
-		lgI, _ := math.Lgamma(float64(i + 1))
-		lgNI, _ := math.Lgamma(float64(n - i + 1))
-		logTerm := lgN - lgI - lgNI + float64(i)*lp + float64(n-i)*lq
+		logTerm := lgN - lnFact(i) - lnFact(n-i) + float64(i)*lp + float64(n-i)*lq
 		term := math.Exp(logTerm)
 		total += term
 		if term < 1e-18*total && i > k+8 {

@@ -13,6 +13,7 @@ package node
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"densevlc/internal/channel"
@@ -44,8 +45,13 @@ type Hub struct {
 	setup scenario.Setup
 	sync  clock.Method
 
-	mu        sync.Mutex
-	rng       *rand.Rand
+	mu sync.Mutex
+	// Random streams are keyed by what they model, never shared in
+	// goroutine-arrival order: seed keys each air frame's stream (see
+	// deliver), pilotSeed each pilot slot's, counted per TX in pilots.
+	seed      int64
+	pilotSeed int64
+	pilots    []uint32
 	positions []mobility.Trajectory
 	now       units.Seconds // virtual time, advanced by the controller
 	h         *channel.Matrix
@@ -66,17 +72,22 @@ type Hub struct {
 	pilotCh []chan PilotEvent
 	rxCh    []chan Reception
 
-	// pending data transmissions grouped by sequence number.
+	// pending data transmissions grouped by sequence number; airs counts
+	// the air frames assembled so far per sequence number, so a
+	// retransmission gets its own stream.
 	pending map[uint16]*airFrame
+	airs    map[uint16]uint32
 	noise   units.Amperes // per-sample photocurrent noise std
 	meas    float64       // measurement-noise relative std
 }
 
 type airFrame struct {
-	mac   frame.MAC
-	rx    int
-	txs   []int
-	waits int // how many TXs are expected to join
+	mac     frame.MAC
+	seq     uint16
+	attempt uint32 // earlier air frames with this sequence number
+	rx      int
+	txs     []int
+	waits   int // how many TXs are expected to join
 }
 
 // NewHub builds the medium for the given deployment.
@@ -88,7 +99,9 @@ func NewHub(setup scenario.Setup, traj []mobility.Trajectory, blocker channel.Bl
 	hub := &Hub{
 		setup:     setup,
 		sync:      syncMethod,
-		rng:       stats.NewRand(seed),
+		seed:      seed,
+		pilotSeed: stats.DeriveSeed(seed, pilotDomain),
+		pilots:    make([]uint32, n),
 		positions: traj,
 		blocker:   blocker,
 		swings:    make([]units.Amperes, n),
@@ -97,6 +110,7 @@ func NewHub(setup scenario.Setup, traj []mobility.Trajectory, blocker channel.Bl
 		pilotCh:   make([]chan PilotEvent, m),
 		rxCh:      make([]chan Reception, m),
 		pending:   map[uint16]*airFrame{},
+		airs:      map[uint16]uint32{},
 		noise:     units.Amperes(math.Sqrt(setup.Params.NoisePower().A2())),
 		meas:      measurementNoise,
 		txFailed:  make([]bool, n),
@@ -259,15 +273,26 @@ func (h *Hub) Configure(tx int, servesRX int, swing units.Amperes, leader bool) 
 	h.leader[tx] = leader
 }
 
+// pilotDomain separates the pilot streams' keys from the air frames'
+// (sequence number and attempt, below 2⁴⁸).
+const pilotDomain = 1 << 63
+
 // Pilot runs transmitter tx's measurement slot: every receiver observes the
-// channel gain with M2M4-grade estimation noise.
+// channel gain with M2M4-grade estimation noise. The noise stream is keyed
+// by the transmitter and its slot count, so the measurements do not depend
+// on the order in which the TX goroutines reach their slots.
 func (h *Hub) Pilot(tx int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	var rng *rand.Rand
+	if h.meas > 0 {
+		rng = stats.NewRand(stats.DeriveSeed(h.pilotSeed, uint64(tx)<<32|uint64(h.pilots[tx])))
+	}
+	h.pilots[tx]++
 	for i := range h.pilotCh {
 		g := h.gainLocked(tx, i)
 		if h.meas > 0 {
-			g *= 1 + h.meas*h.rng.NormFloat64()
+			g *= 1 + h.meas*rng.NormFloat64()
 		}
 		if g < 0 {
 			g = 0
@@ -298,7 +323,8 @@ func (h *Hub) Transmit(tx int, d frame.Downlink) {
 				waits++
 			}
 		}
-		af = &airFrame{mac: d.MAC, rx: rxFromAddr(d.MAC.Dst), waits: waits}
+		af = &airFrame{mac: d.MAC, seq: seq, attempt: h.airs[seq], rx: rxFromAddr(d.MAC.Dst), waits: waits}
+		h.airs[seq]++
 		h.pending[seq] = af
 	}
 	af.txs = append(af.txs, tx)
@@ -315,10 +341,19 @@ func (h *Hub) Transmit(tx int, d frame.Downlink) {
 
 // deliver runs the beamspot's superposed frame through the waveform PHY
 // and, if it decodes, pushes it to the receiver.
+//
+// The frame's fate on air must not depend on goroutine scheduling: the
+// transmitters join in whatever order their goroutines run, and frames
+// complete in any order. So the members are taken in TX order, and every
+// random draw — trigger offsets, crystal tolerances, interferer phases, the
+// link's noise — comes from a stream keyed by the hub seed, the sequence
+// number and the attempt, not from a generator shared across frames.
 func (h *Hub) deliver(af *airFrame) {
 	if af.rx < 0 || af.rx >= len(h.rxCh) {
 		return
 	}
+	slices.Sort(af.txs)
+	rng := stats.NewRand(stats.DeriveSeed(h.seed, uint64(af.seq)<<32|uint64(af.attempt)))
 	h.mu.Lock()
 	p := h.setup.Params
 	scale := p.Responsivity.APerW() * p.WallPlugEfficiency * p.DynamicResistance.Ohms()
@@ -332,18 +367,18 @@ func (h *Hub) deliver(af *airFrame) {
 		if !h.leader[tx] {
 			switch h.sync {
 			case clock.MethodNLOSVLC:
-				off += units.Seconds(1.2e-6 * h.rng.Float64())
+				off += units.Seconds(1.2e-6 * rng.Float64())
 			case clock.MethodNTPPTP:
-				off += units.Seconds(math.Abs(clock.TriggerError(h.rng, clock.MethodNTPPTP, 100e3).S()))
+				off += units.Seconds(math.Abs(clock.TriggerError(rng, clock.MethodNTPPTP, 100e3).S()))
 			default:
-				off += units.Seconds(20e-3 * h.rng.Float64())
+				off += units.Seconds(20e-3 * rng.Float64())
 			}
 		}
 		txs = append(txs, phy.TXSignal{
 			Amplitude:  amp,
 			Offset:     off,
 			Continuous: h.sync != clock.MethodNLOSVLC && h.sync != clock.MethodNTPPTP && !h.leader[tx],
-			ClockPPM:   40*h.rng.Float64() - 20,
+			ClockPPM:   40*rng.Float64() - 20,
 		})
 	}
 	// Interference from other beamspots currently communicating. Dark
@@ -357,13 +392,13 @@ func (h *Hub) deliver(af *airFrame) {
 		if amp > 0 {
 			txs = append(txs, phy.TXSignal{
 				Amplitude:  amp,
-				Offset:     units.Seconds(h.rng.Float64() * 10e-3),
+				Offset:     units.Seconds(rng.Float64() * 10e-3),
 				Continuous: true,
-				ClockPPM:   40*h.rng.Float64() - 20,
+				ClockPPM:   40*rng.Float64() - 20,
 			})
 		}
 	}
-	linkRng := stats.SplitRand(h.rng)
+	linkRng := stats.SplitRand(rng)
 	ch := h.rxCh[af.rx]
 	h.mu.Unlock()
 

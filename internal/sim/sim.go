@@ -11,6 +11,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -259,6 +260,35 @@ func (f *faultState) failedTXs() []int {
 	return out
 }
 
+// downlinkCache decodes the copies of one multicast that the transmitters
+// receive in turn; it lives for one multicast. Every TX is sent the same
+// frame, so consecutive TXs almost always hold the same bytes; the cache
+// keeps the last frame and its decode and reuses the decode while the bytes
+// stay equal. A network that hands a TX different bytes (a per-node buffer, a
+// corrupted copy) gets a fresh decode, so the result is always what
+// frame.DecodeDownlink returns for that TX's bytes. Sharing the decode is
+// safe because mac.TXNode.HandleDownlink neither keeps nor modifies it, and
+// raw is read-only by the transport.NodeLink.Downlink contract.
+type downlinkCache struct {
+	raw []byte // nil until a decode succeeds
+	d   frame.Downlink
+}
+
+// decode returns the decoded downlink frame in raw. Errors are never
+// cached: the next call decodes again.
+func (c *downlinkCache) decode(raw []byte) (frame.Downlink, error) {
+	if c.raw != nil && bytes.Equal(raw, c.raw) {
+		return c.d, nil
+	}
+	d, _, err := frame.DecodeDownlink(raw)
+	if err != nil {
+		c.raw = nil
+		return d, err
+	}
+	c.raw, c.d = raw, d
+	return d, nil
+}
+
 // Run executes the simulation.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.withDefaults(); err != nil {
@@ -380,9 +410,10 @@ func Run(cfg Config) (*Result, error) {
 			}
 			// Every TX processes the frame; only TX j enters its slot.
 			slotActive := false
+			var dl downlinkCache
 			for k := 0; k < n; k++ {
 				raw := <-txLinks[k].Downlink()
-				d, _, err := frame.DecodeDownlink(raw)
+				d, err := dl.decode(raw)
 				if err != nil {
 					return nil, fmt.Errorf("sim: TX %d decode: %w", k, err)
 				}
@@ -476,9 +507,10 @@ func Run(cfg Config) (*Result, error) {
 		if err := ctrlLink.Multicast(wire); err != nil {
 			return nil, err
 		}
+		var dl downlinkCache
 		for k := 0; k < n; k++ {
 			raw := <-txLinks[k].Downlink()
-			d, _, err := frame.DecodeDownlink(raw)
+			d, err := dl.decode(raw)
 			if err != nil {
 				return nil, err
 			}

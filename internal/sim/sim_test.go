@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"densevlc/internal/alloc"
 	"densevlc/internal/channel"
 	"densevlc/internal/clock"
+	"densevlc/internal/frame"
 	"densevlc/internal/geom"
 	"densevlc/internal/mac"
 	"densevlc/internal/mobility"
@@ -194,24 +196,108 @@ func TestRunWithBlocker(t *testing.T) {
 	}
 }
 
+// TestRunOverUDPNetwork runs the simulator over real loopback sockets and
+// requires the very result of the in-memory network. UDP hands every node
+// its own buffer, so the transmitters' decode-once cache is exercised on
+// equal bytes in distinct slices rather than on one shared slice.
 func TestRunOverUDPNetwork(t *testing.T) {
 	udp, err := transport.NewUDPNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		Setup:        scenario.Default(),
-		Trajectories: staticTrajectories(),
-		Budget:       0.3,
-		Rounds:       1,
-		Network:      udp,
-		Seed:         6,
-	})
+	cfg := Config{
+		Setup:            scenario.Default(),
+		Trajectories:     staticTrajectories(),
+		Budget:           0.3,
+		Rounds:           2,
+		MeasurementNoise: 0.02,
+		Seed:             6,
+	}
+	mem, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Network = udp
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rounds[0].ActiveTXs == 0 {
 		t.Error("no active TXs over UDP transport")
+	}
+	for r := range mem.Rounds {
+		// %v prints each float64 in its shortest round-trip form, so equal
+		// strings mean equal bits.
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{
+			{"Eval", res.Rounds[r].Eval, mem.Rounds[r].Eval},
+			{"PER", res.Rounds[r].PER, mem.Rounds[r].PER},
+			{"Swings", res.Rounds[r].Swings, mem.Rounds[r].Swings},
+		} {
+			if got, want := fmt.Sprintf("%v", f.got), fmt.Sprintf("%v", f.want); got != want {
+				t.Errorf("round %d %s over UDP = %s, in memory %s", r, f.name, got, want)
+			}
+		}
+	}
+}
+
+// TestDownlinkCacheDecodesOnce: equal bytes reuse the previous decode (the
+// payload slice is the very one the first decode produced), different
+// bytes decode afresh, and a decode error is returned every time, never
+// cached.
+func TestDownlinkCacheDecodesOnce(t *testing.T) {
+	ctrl := mac.NewController(4, 1, alloc.Heuristic{}, 0.1, scenario.Default().Params, scenario.Default().LED)
+	wire := func(tx int) []byte {
+		pf, err := ctrl.PilotFrame(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := pf.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	decode := func(c *downlinkCache, raw []byte) frame.Downlink {
+		t.Helper()
+		d, err := c.decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := frame.DecodeDownlink(raw)
+		if fmt.Sprintf("%v", d) != fmt.Sprintf("%v", want) {
+			t.Fatalf("cached decode %v, want %v", d, want)
+		}
+		return d
+	}
+	same := func(a, b frame.Downlink) bool { return &a.MAC.Payload[0] == &b.MAC.Payload[0] }
+
+	var c downlinkCache
+	a := wire(0)
+	first := decode(&c, a)
+	if !same(first, decode(&c, a)) {
+		t.Error("the same slice decoded twice")
+	}
+	if !same(first, decode(&c, append([]byte(nil), a...))) {
+		t.Error("equal bytes in a separate buffer decoded twice")
+	}
+	b := wire(1)
+	second := decode(&c, b)
+	if same(first, second) {
+		t.Error("different bytes reused the previous decode")
+	}
+
+	bad := append([]byte(nil), b...)
+	bad[12] ^= 0xFF // EtherType: no longer a DenseVLC frame
+	for i := 0; i < 2; i++ {
+		if _, err := c.decode(bad); err == nil {
+			t.Fatalf("call %d: corrupted frame decoded", i)
+		}
+	}
+	if same(second, decode(&c, b)) {
+		t.Error("a decode survived the error in between")
 	}
 }
 

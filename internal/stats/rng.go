@@ -24,3 +24,15 @@ func SplitRand(parent *rand.Rand) *rand.Rand {
 func GaussianPair(rng *rand.Rand) (float64, float64) {
 	return rng.NormFloat64(), rng.NormFloat64()
 }
+
+// DeriveSeed mixes a parent seed with a key into the seed of a keyed stream
+// (the SplitMix64 finaliser over seed and key). Where SplitRand hands out
+// streams in the order they are split, DeriveSeed ties a stream to an
+// identity — a frame's sequence number — so concurrent consumers get the
+// same numbers whichever of them runs first.
+func DeriveSeed(seed int64, key uint64) int64 {
+	z := uint64(seed) + key*0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return int64(z ^ z>>31)
+}

@@ -32,7 +32,9 @@ type ControllerLink interface {
 // NodeLink is a transmitter's or receiver's side of the network.
 type NodeLink interface {
 	// Downlink yields controller frames. The channel closes when the
-	// network closes.
+	// network closes. Delivered frames are read-only: an implementation may
+	// hand the same slice to every node of one multicast, so a consumer
+	// that needs to modify a frame copies it first.
 	Downlink() <-chan []byte
 	// SendUplink delivers a frame to the controller.
 	SendUplink(data []byte) error
@@ -112,8 +114,10 @@ func (c *memController) Multicast(data []byte) error {
 	if n.closed {
 		return ErrClosed
 	}
+	// One private copy, shared read-only by every node (see
+	// NodeLink.Downlink): the caller may reuse data once Multicast returns.
+	msg := append([]byte(nil), data...)
 	for _, node := range n.nodes {
-		msg := append([]byte(nil), data...)
 		select {
 		case node.down <- msg:
 		default:

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -329,5 +330,86 @@ func TestLossyNetworkCloseUnblocksFilter(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("filtered downlink did not close")
+	}
+}
+
+// TestMulticastSharedCopy: every node receives equal bytes, and the
+// caller's buffer is free once Multicast returns — overwriting it changes
+// nothing any node sees. The nodes read concurrently, so under -race this
+// also shows that sharing one read-only copy between nodes is race-free.
+func TestMulticastSharedCopy(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	for _, fx := range fixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			defer fx.done()
+			const frames = 32
+			buf := make([]byte, 64)
+			want := make([][]byte, frames)
+			for f := range want {
+				for i := range buf {
+					buf[i] = byte(f*7 + i)
+				}
+				want[f] = append([]byte(nil), buf...)
+				if err := fx.ctrl.Multicast(buf); err != nil {
+					t.Fatal(err)
+				}
+				for i := range buf {
+					buf[i] = 0xEE // the caller reuses its buffer at once
+				}
+			}
+			// Each node checks its frames on its own goroutine.
+			var wg sync.WaitGroup
+			received := make([]int, 2)
+			mismatched := make([]int, 2)
+			for n, node := range []NodeLink{fx.a, fx.b} {
+				wg.Add(1)
+				go func(n int, down <-chan []byte) {
+					defer wg.Done()
+					for f := 0; f < frames; f++ {
+						select {
+						case msg := <-down:
+							received[n]++
+							if !bytes.Equal(msg, want[f]) {
+								mismatched[n]++
+							}
+						case <-time.After(time.Second):
+							return
+						}
+					}
+				}(n, node.Downlink())
+			}
+			wg.Wait()
+			for n := range received {
+				if received[n] != frames || mismatched[n] != 0 {
+					t.Errorf("node %d received %d/%d frames, %d of them altered", n, received[n], frames, mismatched[n])
+				}
+			}
+		})
+	}
+}
+
+// TestMemMulticastOneCopy pins the in-memory multicast at a single
+// allocation however many nodes it reaches: one private copy of the frame,
+// shared by every node.
+func TestMemMulticastOneCopy(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	mem := NewMemNetwork()
+	defer mem.Close()
+	nodes := make([]NodeLink, 40)
+	for i := range nodes {
+		nodes[i] = mem.Node()
+	}
+	ctrl := mem.Controller()
+	data := []byte("pilot slot announcement")
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := ctrl.Multicast(data); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			<-n.Downlink()
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Multicast to %d nodes allocates %v times, want 1", len(nodes), allocs)
 	}
 }

@@ -42,8 +42,9 @@ baseline="${2-HEAD}"
 # internal/mac/sharded_test.go and trigger_test.go, the incremental
 # kernels in internal/channel/incremental_test.go and
 # internal/scenario/mover_test.go, the codec in
-# internal/rs/fastpath_test.go, and the preamble search in
-# internal/dsp/correlate_test.go) must carry the //lint:hotpath annotation,
+# internal/rs/fastpath_test.go, the preamble search in
+# internal/dsp/correlate_test.go, and the binomial tail in
+# internal/channel/per_test.go) must carry the //lint:hotpath annotation,
 # so vlclint's hotalloc analyzer proves statically what AllocsPerRun samples
 # dynamically. Keep this list in sync with those tests.
 echo "==> hotpath/AllocsPerRun alignment"
@@ -64,7 +65,8 @@ for fn in \
     '(*densevlc/internal/channel.Matrix).ColumnInto' \
     '(*densevlc/internal/scenario.Mover).MoveRX' \
     'densevlc/internal/rs.EncodeTo' \
-    'densevlc/internal/dsp.CorrelationPeak'; do
+    'densevlc/internal/dsp.CorrelationPeak' \
+    'densevlc/internal/channel.BinomialTail'; do
     if ! grep -qxF "$fn" <<<"$hot"; then
         echo "bench.sh: $fn is AllocsPerRun-gated but not //lint:hotpath-annotated (see: go run ./cmd/vlclint -graph ./...)" >&2
         exit 1

@@ -50,7 +50,9 @@
 #                     block, round-trip and sliced-parity, Manchester
 #                     round-trip, correlation-peak (FuzzCorrelationPeak:
 #                     the early-abandoning preamble search against the
-#                     full reference), chaos-spec,
+#                     full reference), binomial-tail (FuzzBinomialTail:
+#                     the log-factorial table against the per-term Lgamma
+#                     reference), chaos-spec,
 #                     cluster-spec and workload-spec grammar fuzzers,
 #                     enough to catch regressions on the seeded corpora
 #                     plus fresh mutations
@@ -145,7 +147,7 @@ timeout 600 go run -race ./cmd/experiments -quick churn > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
 # so each fuzzer gets its own invocation.
-echo "==> short fuzz (frame codec, Reed–Solomon codec, Manchester demodulator, correlation peak, chaos spec, cluster spec, workload spec)"
+echo "==> short fuzz (frame codec, Reed–Solomon codec, Manchester demodulator, correlation peak, binomial tail, chaos spec, cluster spec, workload spec)"
 go test -run='^$' -fuzz='^FuzzDownlinkRoundTrip$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeBlock$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzEncodeDecode$' -fuzztime=5s ./internal/rs/
@@ -153,6 +155,7 @@ go test -run='^$' -fuzz='^FuzzParity$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzManchesterRoundTrip$' -fuzztime=10s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzManchesterDecode$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzCorrelationPeak$' -fuzztime=5s ./internal/dsp/
+go test -run='^$' -fuzz='^FuzzBinomialTail$' -fuzztime=5s ./internal/channel/
 go test -run='^$' -fuzz='^FuzzChaosSpec$' -fuzztime=5s ./internal/chaos/
 go test -run='^$' -fuzz='^FuzzClusterSpec$' -fuzztime=5s ./internal/cluster/
 go test -run='^$' -fuzz='^FuzzWorkloadSpec$' -fuzztime=5s ./internal/workload/
