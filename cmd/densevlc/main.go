@@ -13,7 +13,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -60,6 +59,9 @@ func main() {
 	failures := flag.Int("failures", 0, "hard-fail this many random transmitters mid-run (adds to -chaos)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -failures random draw")
 	flag.Parse()
+	if *async && *useCache {
+		log.Fatal("-cache is not supported with -async: the geometry cache is a synchronous-engine decision path")
+	}
 
 	setup := scenario.Default()
 	rng := stats.NewRand(*seed)
@@ -128,15 +130,33 @@ func main() {
 			setup.Grid.N(), numRX, *budget, policy.Name())
 	}
 
+	var trigger mac.Trigger
+	if *incremental {
+		trigger = mac.Trigger{RelDelta: *triggerDelta, MaxStaleEpochs: *triggerStale}
+	}
+
 	if *async {
-		if *churn {
-			if schedule.Len() > 0 {
-				log.Fatal("-chaos is not supported with -async -churn (the workload engine owns the fleet)")
-			}
-			runAsyncChurn(setup, churnSpec, policy, network, units.Watts(*budget), *rounds, *seed)
-			return
+		cfg := node.Config{
+			Setup:            setup,
+			Trajectories:     traj,
+			Policy:           policy,
+			Budget:           units.Watts(*budget),
+			Sync:             clock.MethodNLOSVLC,
+			Network:          network,
+			Rounds:           *rounds,
+			RoundDuration:    1.0,
+			FramesPerRX:      4,
+			MeasurementNoise: 0.02,
+			Seed:             *seed,
+			Timeout:          time.Duration(*rounds+5) * 10 * time.Second,
+			Chaos:            schedule,
+			Trigger:          trigger,
 		}
-		runAsync(setup, traj, policy, network, units.Watts(*budget), *rounds, *seed, schedule)
+		if *churn {
+			cfg.Workload = &churnSpec
+			cfg.FramesPerRX = 8 // a cap: each user's traffic model sets its demand
+		}
+		runAsync(cfg)
 		return
 	}
 
@@ -153,13 +173,11 @@ func main() {
 		FramesPerRound:   10,
 		Network:          network,
 		Chaos:            schedule,
+		Trigger:          trigger,
 		Seed:             *seed,
 	}
 	if *churn {
 		cfg.Workload = &churnSpec
-	}
-	if *incremental {
-		cfg.Trigger = mac.Trigger{RelDelta: *triggerDelta, MaxStaleEpochs: *triggerStale}
 	}
 	if *useCache {
 		cfg.CacheQuantum = units.Meters(*cacheQuantum)
@@ -207,73 +225,29 @@ func printTrace(tr *chaos.Trace) {
 }
 
 // runAsync executes the event-driven runtime: every transmitter and
-// receiver is its own goroutine reacting to the frames it receives, the
-// controller works with timeouts — the distributed prototype's shape.
-func runAsync(setup scenario.Setup, traj []mobility.Trajectory, policy alloc.Policy,
-	network transport.Network, budget units.Watts, rounds int, seed int64, schedule *chaos.Schedule) {
-
-	res, err := node.Run(node.Config{
-		Setup:            setup,
-		Trajectories:     traj,
-		Policy:           policy,
-		Budget:           budget,
-		Sync:             clock.MethodNLOSVLC,
-		Network:          network,
-		Rounds:           rounds,
-		RoundDuration:    1.0,
-		FramesPerRX:      4,
-		MeasurementNoise: 0.02,
-		Seed:             seed,
-		Timeout:          time.Duration(rounds+5) * 10 * time.Second,
-		Chaos:            schedule,
-	})
+// receiver (or tenancy slot, under -churn) is its own goroutine reacting to
+// the frames it receives, the controller works with timeouts — the
+// distributed prototype's shape.
+func runAsync(cfg node.Config) {
+	res, err := node.Run(cfg)
 	if err != nil {
 		log.Fatalf("async run: %v", err)
 	}
-	for _, r := range res.Rounds {
+	for k, r := range res.Rounds {
 		fmt.Printf("round %2d  reports ok %-5v  active TXs %2d  sent %2d  delivered %2d  retried %d  failed %d",
 			r.Round, r.ReportsOK, r.ActiveTXs, r.FramesSent, r.FramesAckd, r.Retransmits, r.FramesFailed)
 		if r.DeadTXs > 0 || r.StarvedRXs > 0 {
 			fmt.Printf("  dead TXs %d  starved RXs %d", r.DeadTXs, r.StarvedRXs)
 		}
-		fmt.Printf("  system %6.2f Mb/s\n", r.SystemThroughput.Bps()/1e6)
-	}
-	printTrace(res.Trace)
-	fmt.Printf("\n%d application payloads delivered end to end\n", res.Delivered)
-}
-
-// runAsyncChurn is runAsync under a churn workload: every tenancy slot is a
-// receiver goroutine whose photodiode lights up when a user arrives, and
-// the per-round demand follows each user's traffic model.
-func runAsyncChurn(setup scenario.Setup, sp workload.Spec, policy alloc.Policy,
-	network transport.Network, budget units.Watts, rounds int, seed int64) {
-
-	res, err := node.RunChurn(context.Background(), node.ChurnConfig{
-		Setup:            setup,
-		Workload:         sp,
-		Policy:           policy,
-		Budget:           budget,
-		Sync:             clock.MethodNLOSVLC,
-		Network:          network,
-		Rounds:           rounds,
-		RoundDuration:    1.0,
-		FramesPerRX:      8,
-		MeasurementNoise: 0.02,
-		Seed:             seed,
-		Timeout:          time.Duration(rounds+5) * 10 * time.Second,
-	})
-	if err != nil {
-		log.Fatalf("churn run: %v", err)
-	}
-	for k, r := range res.Rounds {
-		fmt.Printf("round %2d  reports ok %-5v  active TXs %2d  sent %2d  delivered %2d  decision %s",
-			r.Round, r.ReportsOK, r.ActiveTXs, r.FramesSent, r.FramesAckd, r.DecisionTime.Round(time.Microsecond))
 		if k < len(res.Steps) {
 			st := res.Steps[k]
 			fmt.Printf("  pop %d (+%d/-%d, %d rejected)", st.Population, st.Arrivals, st.Departures, st.Rejections)
 		}
-		fmt.Println()
+		fmt.Printf("  system %6.2f Mb/s\n", r.SystemThroughput.Bps()/1e6)
 	}
-	fmt.Printf("\n%d application payloads delivered end to end\nchurn trace:\n%s",
-		res.Delivered, res.WorkloadTrace)
+	printTrace(res.Trace)
+	fmt.Printf("\n%d application payloads delivered end to end\n", res.Delivered)
+	if res.WorkloadTrace != nil {
+		fmt.Printf("churn trace:\n%s", res.WorkloadTrace)
+	}
 }

@@ -44,16 +44,13 @@ func (h Heuristic) kappa() float64 {
 // appended at the end unassigned (RX = -1): activating them could only burn
 // power and generate interference.
 func (h Heuristic) Rank(env *Env) []Assignment {
-	n := env.N()
-	sjr := newScoreRows(n, env.M())
+	sjr := newScoreRows(env.N(), env.M())
 	fillSJRFixed(env, h.kappa(), sjr)
-	return extractRanking(sjr, make([]bool, n), make([]Assignment, 0, n))
+	return extractRanking(sjr)
 }
 
 // fillSJRFixed computes Algorithm 1's SJR matrix (lines 1–3) under one
-// global exponent into the caller's rows. It is the single scoring kernel
-// behind Rank and the warm batch worker, so the two stay bit-identical by
-// construction.
+// global exponent into the caller's rows.
 func fillSJRFixed(env *Env, kappa float64, sjr [][]float64) {
 	n, m := env.N(), env.M()
 	for i := 0; i < n; i++ {
@@ -72,18 +69,15 @@ func fillSJRFixed(env *Env, kappa float64, sjr [][]float64) {
 }
 
 // extractRanking runs the repeated arg-max with row elimination (Algorithm
-// 1, lines 4–7) over the scored matrix. used is reset here and ranked is
-// appended to from its current length, so warm callers can pass reused
-// buffers.
-func extractRanking(sjr [][]float64, used []bool, ranked []Assignment) []Assignment {
+// 1, lines 4–7) over the scored matrix.
+func extractRanking(sjr [][]float64) []Assignment {
 	n := len(sjr)
 	m := 0
 	if n > 0 {
 		m = len(sjr[0])
 	}
-	for i := range used {
-		used[i] = false
-	}
+	used := make([]bool, n)
+	ranked := make([]Assignment, 0, n)
 	for k := 0; k < n; k++ {
 		bi, bj, best := -1, -1, -1.0
 		for i := 0; i < n; i++ {
@@ -180,16 +174,14 @@ func (a AdaptiveKappa) bounds() (float64, float64) {
 
 // Rank mirrors Heuristic.Rank with a per-transmitter exponent.
 func (a AdaptiveKappa) Rank(env *Env) []Assignment {
-	n := env.N()
 	lo, hi := a.bounds()
-	sjr := newScoreRows(n, env.M())
+	sjr := newScoreRows(env.N(), env.M())
 	fillSJRAdaptive(env, lo, hi, sjr)
-	return extractRanking(sjr, make([]bool, n), make([]Assignment, 0, n))
+	return extractRanking(sjr)
 }
 
 // fillSJRAdaptive computes the selectivity-interpolated score matrix into
-// the caller's rows — the adaptive-κ sibling of fillSJRFixed, shared by
-// Rank and the warm batch worker.
+// the caller's rows — the adaptive-κ sibling of fillSJRFixed.
 func fillSJRAdaptive(env *Env, lo, hi float64, sjr [][]float64) {
 	n, m := env.N(), env.M()
 	for i := 0; i < n; i++ {
@@ -229,52 +221,4 @@ func (a AdaptiveKappa) Allocate(env *Env, budget units.Watts) (channel.Swings, e
 		return nil, fmt.Errorf("alloc: negative power budget %.3f", budget.W())
 	}
 	return SwingsFromAssignments(env, a.Rank(env), budget, a.AllowPartial), nil
-}
-
-// NewBatchWorker implements BatchSolver: the returned worker reuses the
-// score matrix, elimination flags and ranking buffer across consecutive
-// solves, re-growing only on a dimension change.
-func (h Heuristic) NewBatchWorker() BatchWorker {
-	return &rankWorker{fill: func(env *Env, sjr [][]float64) { fillSJRFixed(env, h.kappa(), sjr) }, partial: h.AllowPartial}
-}
-
-// NewBatchWorker implements BatchSolver, as for Heuristic.
-func (a AdaptiveKappa) NewBatchWorker() BatchWorker {
-	lo, hi := a.bounds()
-	return &rankWorker{fill: func(env *Env, sjr [][]float64) { fillSJRAdaptive(env, lo, hi, sjr) }, partial: a.AllowPartial}
-}
-
-// rankWorker is the warm solver behind both ranking policies: scoring
-// writes into a persistent matrix and the elimination pass reuses its
-// buffers, so only the returned swing matrix is allocated per solve. It
-// calls the same fill/extract kernels as Rank, keeping batch results
-// bit-identical to Allocate's.
-type rankWorker struct {
-	fill    func(env *Env, sjr [][]float64)
-	partial bool
-
-	sjr    [][]float64
-	used   []bool
-	ranked []Assignment
-	n, m   int
-}
-
-// Solve implements BatchWorker.
-func (w *rankWorker) Solve(env *Env, budget units.Watts) (channel.Swings, error) {
-	if err := env.Validate(); err != nil {
-		return nil, err
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("alloc: negative power budget %.3f", budget.W())
-	}
-	n, m := env.N(), env.M()
-	if n != w.n || m != w.m {
-		w.sjr = newScoreRows(n, m)
-		w.used = make([]bool, n)
-		w.ranked = make([]Assignment, 0, n)
-		w.n, w.m = n, m
-	}
-	w.fill(env, w.sjr)
-	w.ranked = extractRanking(w.sjr, w.used, w.ranked[:0])
-	return SwingsFromAssignments(env, w.ranked, budget, w.partial), nil
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // Target is what the injector applies faults to: the simulation's model of
-// the physical layer. node.Hub and sim's fault state both implement it.
+// the physical layer. Faults implements it; node.Hub delegates to one under
+// its lock.
 type Target interface {
 	// FailTX turns transmitter tx's LED dark.
 	FailTX(tx int)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"densevlc/internal/alloc"
-	"densevlc/internal/channel"
 	"densevlc/internal/scenario"
 	"densevlc/internal/stats"
 )
@@ -111,34 +110,5 @@ func TestSolveContextHonoursCancellation(t *testing.T) {
 		if _, err := w.SolveContext(ctx, env, paperBudget); err == nil {
 			t.Errorf("workers=%d: cancelled solve returned nil error", workers)
 		}
-	}
-}
-
-// TestShardedBatchWorkerMatchesAllocate: the warm per-worker workspace of
-// the batch path returns exactly what the throwaway-workspace Allocate
-// does, across consecutive differing instances.
-func TestShardedBatchWorkerMatchesAllocate(t *testing.T) {
-	rng := stats.NewRand(83)
-	setup := scenario.Default()
-	s := Sharded{Inner: alloc.Heuristic{AllowPartial: true}, Spec: Spec{Threshold: 0.6}, Workers: 1}
-	worker := s.NewBatchWorker()
-	for trial := 0; trial < 5; trial++ {
-		env := setup.Env(setup.UniformRXs(rng, 5), nil)
-		want, err := s.Allocate(env, paperBudget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := worker.Solve(env, paperBudget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameSwings(t, got, want, "warm batch worker")
-		// The result must be detached from the workspace buffer.
-		var next channel.Swings
-		if next, err = worker.Solve(env, paperBudget); err != nil {
-			t.Fatal(err)
-		}
-		_ = next
-		assertSameSwings(t, got, want, "previous result after a later solve")
 	}
 }

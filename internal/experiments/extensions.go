@@ -141,28 +141,35 @@ func AdaptiveKappaStudy(opts Options) Table {
 		Header: []string{"P_C,tot [W]", "κ=1.3 [Mb/s]", "adaptive [Mb/s]", "gain [%]"},
 	}
 	// Environments are read-only for both policies, so they are built once
-	// and batched: each worker solves a contiguous chunk on warm per-policy
-	// scratch, byte-identical to the sequential loop this replaces.
+	// and shared by every budget's fan-out.
 	envs := make([]*alloc.Env, len(insts))
 	for ii, inst := range insts {
 		envs[ii] = set.Env(inst, nil)
 	}
 	for _, budget := range budgets {
-		items := make([]alloc.BatchItem, len(envs))
-		for ii, env := range envs {
-			items[ii] = alloc.BatchItem{Env: env, Budget: budget}
-		}
 		means := make([]float64, len(policies))
 		for pi, p := range policies {
-			swings, err := solveBatch(opts, p, items)
-			if err != nil {
-				continue
+			type solved struct {
+				sys float64
+				err error
 			}
-			var sys []float64
-			for ii, s := range swings {
-				sys = append(sys, alloc.Evaluate(envs[ii], s).SumThroughput.Bps()/1e6)
+			res := fanOut(opts, len(envs), func(ii int) solved {
+				s, err := p.Allocate(envs[ii], budget)
+				if err != nil {
+					return solved{err: err}
+				}
+				return solved{sys: alloc.Evaluate(envs[ii], s).SumThroughput.Bps() / 1e6}
+			})
+			// A policy failing any instance is skipped for this budget.
+			sys := make([]float64, len(res))
+			failed := false
+			for ii, r := range res {
+				sys[ii] = r.sys
+				failed = failed || r.err != nil
 			}
-			means[pi] = stats.Mean(sys)
+			if !failed {
+				means[pi] = stats.Mean(sys)
+			}
 		}
 		gain := 0.0
 		if means[0] > 0 {

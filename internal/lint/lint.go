@@ -318,7 +318,6 @@ var deterministicPkgs = map[string]bool{
 	"frame":       true,
 	"led":         true,
 	"optimize":    true,
-	"core":        true,
 	"mac":         true,
 	"clock":       true,
 }

@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"densevlc/internal/channel"
+	"densevlc/internal/chaos"
 	"densevlc/internal/clock"
 	"densevlc/internal/frame"
 	"densevlc/internal/geom"
@@ -60,14 +61,16 @@ type Hub struct {
 	serves    []int           // RX served per TX (-1 = none)
 	leader    []bool          // leader flag per TX
 
-	// Fault state, driven by the chaos injector (the hub implements
-	// chaos.Target). A failed TX's LED is dark: zero pilot energy, zero
-	// data contribution, zero interference. rxKeep scales every LOS gain
-	// into a receiver (1 = clear, 0 = opaque blockage). clockSkew adds to
-	// a transmitter's trigger offset in the data phase.
-	txFailed  []bool
-	rxKeep    []float64
-	clockSkew []units.Seconds
+	// faults is the chaos injector's target (the hub's Target methods
+	// lock and delegate): a failed TX's LED is dark — zero pilot energy,
+	// zero data contribution, zero interference — a shadowed receiver's
+	// LOS gains are attenuated, and a clock skew adds to a transmitter's
+	// trigger offset in the data phase. live is the workload's slot
+	// occupancy (nil: every receiver present), applied after the faults:
+	// a free slot's photodiode is dark, and a blockage on it outlasts the
+	// slot's turnover.
+	faults *chaos.Faults
+	live   []bool
 
 	pilotCh []chan PilotEvent
 	rxCh    []chan Reception
@@ -113,15 +116,10 @@ func NewHub(setup scenario.Setup, traj []mobility.Trajectory, blocker channel.Bl
 		airs:      map[uint16]uint32{},
 		noise:     units.Amperes(math.Sqrt(setup.Params.NoisePower().A2())),
 		meas:      measurementNoise,
-		txFailed:  make([]bool, n),
-		rxKeep:    make([]float64, m),
-		clockSkew: make([]units.Seconds, n),
+		faults:    chaos.NewFaults(n, m),
 	}
 	for j := range hub.serves {
 		hub.serves[j] = -1
-	}
-	for i := range hub.rxKeep {
-		hub.rxKeep[i] = 1
 	}
 	for i := 0; i < m; i++ {
 		hub.pilotCh[i] = make(chan PilotEvent, 2*n)
@@ -134,32 +132,27 @@ func NewHub(setup scenario.Setup, traj []mobility.Trajectory, blocker channel.Bl
 // Setup returns the deployment the hub models.
 func (h *Hub) Setup() scenario.Setup { return h.setup }
 
-// gainLocked returns the faulted channel gain from tx to rx: zero when the
-// transmitter's LED is dark, attenuated when the receiver is shadowed.
-// Callers hold h.mu.
+// gainLocked returns the channel gain from tx to rx as the photodiode sees
+// it: faulted, then zero into a free workload slot. Callers hold h.mu.
 func (h *Hub) gainLocked(tx, rx int) float64 {
-	if h.txFailed[tx] {
+	if h.live != nil && !h.live[rx] {
 		return 0
 	}
-	return h.h.Gain(tx, rx) * h.rxKeep[rx]
+	return h.faults.Gain(h.h, tx, rx)
 }
 
 // FailTX implements chaos.Target: transmitter tx's LED goes dark.
 func (h *Hub) FailTX(tx int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if tx >= 0 && tx < len(h.txFailed) {
-		h.txFailed[tx] = true
-	}
+	h.faults.FailTX(tx)
 }
 
 // RecoverTX implements chaos.Target: transmitter tx returns to service.
 func (h *Hub) RecoverTX(tx int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if tx >= 0 && tx < len(h.txFailed) {
-		h.txFailed[tx] = false
-	}
+	h.faults.RecoverTX(tx)
 }
 
 // SetRXAttenuation implements chaos.Target: every LOS gain into rx is scaled
@@ -167,16 +160,7 @@ func (h *Hub) RecoverTX(tx int) {
 func (h *Hub) SetRXAttenuation(rx int, keep float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if rx < 0 || rx >= len(h.rxKeep) {
-		return
-	}
-	if keep < 0 {
-		keep = 0
-	}
-	if keep > 1 {
-		keep = 1
-	}
-	h.rxKeep[rx] = keep
+	h.faults.SetRXAttenuation(rx, keep)
 }
 
 // SkewClock implements chaos.Target: transmitter tx's trigger clock steps by
@@ -184,22 +168,15 @@ func (h *Hub) SetRXAttenuation(rx int, keep float64) {
 func (h *Hub) SkewClock(tx int, delta units.Seconds) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if tx >= 0 && tx < len(h.clockSkew) {
-		h.clockSkew[tx] += delta
-	}
+	h.faults.SkewClock(tx, delta)
 }
 
-// FailedTXs returns the currently dark transmitters in index order.
-func (h *Hub) FailedTXs() []int {
+// setLive records which receiver slots host a user (copied); the
+// photodiodes of the others are dark.
+func (h *Hub) setLive(live []bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []int
-	for j, f := range h.txFailed {
-		if f {
-			out = append(out, j)
-		}
-	}
-	return out
+	h.live = append(h.live[:0], live...)
 }
 
 // PilotEvents returns receiver i's pilot-measurement stream.
@@ -363,7 +340,7 @@ func (h *Hub) deliver(af *airFrame) {
 		amp := units.Amperes(scale * h.gainLocked(tx, af.rx) * half * half)
 		// A chaos clock step shifts this board's trigger even when the
 		// synchronisation method would otherwise align it.
-		off := h.clockSkew[tx]
+		off := h.faults.Skew(tx)
 		if !h.leader[tx] {
 			switch h.sync {
 			case clock.MethodNLOSVLC:

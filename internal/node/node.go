@@ -14,6 +14,7 @@ import (
 	"densevlc/internal/stats"
 	"densevlc/internal/transport"
 	"densevlc/internal/units"
+	"densevlc/internal/workload"
 )
 
 // Delivery is one application payload handed to a receiver, tagged with the
@@ -113,61 +114,6 @@ func RunRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub
 	}
 }
 
-// ControllerConfig parameterises the asynchronous controller loop.
-type ControllerConfig struct {
-	N, M   int
-	Policy alloc.Policy
-	Budget units.Watts
-	// Rounds to run.
-	Rounds int
-	// RoundDuration advances the hub's virtual clock per round (receiver
-	// motion), seconds.
-	RoundDuration units.Seconds
-	// FramesPerRX data frames per receiver per round.
-	FramesPerRX int
-	// MaxAttempts bounds transmissions per frame (1 = no retransmission).
-	MaxAttempts int
-	// ReportTimeout bounds the wait for channel reports per round.
-	ReportTimeout time.Duration
-	// AckTimeout bounds the wait for data acknowledgements per attempt
-	// pass.
-	AckTimeout time.Duration
-	// Injector optionally replays a chaos fault schedule against the hub
-	// at round boundaries (virtual time), keeping the applied-event trace
-	// deterministic even in this asynchronous runtime.
-	Injector *chaos.Injector
-	// BeforeRound, when non-nil, runs on the controller goroutine at each
-	// round boundary before the hub's clock advances — the churn engine's
-	// hook: it steps the population and flips slot attenuations so the
-	// epoch's pilots already see the arrivals and departures.
-	BeforeRound func(round int, t units.Seconds)
-	// Demand, when non-nil, overrides FramesPerRX per receiver per round
-	// (a churn workload's per-user traffic model). Zero-demand receivers
-	// send nothing that round.
-	Demand func(rx int) int
-}
-
-func (c *ControllerConfig) defaults() {
-	if c.Rounds <= 0 {
-		c.Rounds = 5
-	}
-	if c.RoundDuration <= 0 {
-		c.RoundDuration = 1
-	}
-	if c.FramesPerRX <= 0 {
-		c.FramesPerRX = 4
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 2
-	}
-	if c.ReportTimeout <= 0 {
-		c.ReportTimeout = 2 * time.Second
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 2 * time.Second
-	}
-}
-
 // RoundStats summarises one asynchronous round.
 type RoundStats struct {
 	Round      int
@@ -184,9 +130,10 @@ type RoundStats struct {
 	// DeadTXs is the number of transmitters the controller's link-health
 	// tracker classifies dead after this round's reallocation.
 	DeadTXs int
-	// StarvedRXs counts receivers left without any serving transmitter by
-	// this round's plan — the paper's graceful-degradation promise is that
-	// this stays zero while transmitters remain to serve everyone.
+	// StarvedRXs counts receivers (occupied slots, under a workload) left
+	// without any serving transmitter by this round's plan — the paper's
+	// graceful-degradation promise is that this stays zero while
+	// transmitters remain to serve everyone.
 	StarvedRXs int
 	// DecisionTime is the wall-clock cost of this round's Reallocate call —
 	// the sample the churn benchmarks reduce to p50/p99 decision latency.
@@ -196,49 +143,53 @@ type RoundStats struct {
 	SystemThroughput units.BitsPerSecond
 }
 
-// RunController drives the asynchronous system: per round it schedules the
-// pilot slots, waits (with a deadline) for every receiver's report,
-// reallocates, pushes the allocation, sends data frames and counts
-// acknowledgements.
-func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
-	ctrl *mac.Controller, cfg ControllerConfig) ([]RoundStats, error) {
+// runController drives the asynchronous system: per round it steps the
+// workload (if any), schedules the pilot slots, waits (with a deadline) for
+// every receiver's report, reallocates, pushes the allocation, sends data
+// frames and counts acknowledgements. cfg carries its defaults; engine is
+// nil without a workload.
+func runController(ctx context.Context, link transport.ControllerLink, hub *Hub, ctrl *mac.Controller,
+	cfg Config, engine *workload.Engine, injector *chaos.Injector) ([]RoundStats, []workload.StepStats, error) {
 
-	cfg.defaults()
+	numTX, numRX := hub.setup.Grid.N(), len(hub.rxCh)
 	var out []RoundStats
+	var steps []workload.StepStats
+	var live []bool
 	// Round metrics reuse one SINR buffer: the per-round scoring path is a
 	// //lint:hotpath contract (see roundThroughput).
-	sinrScratch := make([]float64, cfg.M)
+	sinrScratch := make([]float64, numRX)
 
 	for round := 0; round < cfg.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return out, err
+			return out, steps, err
 		}
 		t := units.Seconds(float64(round) * cfg.RoundDuration.S())
-		if cfg.BeforeRound != nil {
-			cfg.BeforeRound(round, t)
+		// Population churn happens before the hub's clock advances, so
+		// this epoch's pilots already see the arrivals and departures.
+		if engine != nil {
+			steps = append(steps, engine.Step(t, cfg.RoundDuration))
+			live = engine.ActiveMask(live)
+			hub.setLive(live)
 		}
 		hub.AdvanceTime(t)
 
 		// Fault injection happens at the round boundary, before the pilot
 		// phase, so this epoch's measurements already see the faults and
 		// this epoch's reallocation recovers from them.
-		chaosEvents := 0
-		if cfg.Injector != nil {
-			chaosEvents = cfg.Injector.Apply(round, t, hub)
-		}
+		chaosEvents := injector.Apply(round, t, hub)
 
 		// Measurement phase: one pilot slot per TX.
-		for j := 0; j < cfg.N; j++ {
+		for j := 0; j < numTX; j++ {
 			pf, err := ctrl.PilotFrame(j)
 			if err != nil {
-				return out, err
+				return out, steps, err
 			}
 			wire, err := pf.Serialize()
 			if err != nil {
-				return out, err
+				return out, steps, err
 			}
 			if err := link.Multicast(wire); err != nil {
-				return out, fmt.Errorf("node: pilot multicast: %w", err)
+				return out, steps, fmt.Errorf("node: pilot multicast: %w", err)
 			}
 		}
 
@@ -248,12 +199,12 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 		for !ctrl.HaveFreshReports() {
 			select {
 			case <-ctx.Done():
-				return out, ctx.Err()
+				return out, steps, ctx.Err()
 			case <-deadline:
 				break reports
 			case raw, ok := <-link.Uplink():
 				if !ok {
-					return out, errors.New("node: uplink closed")
+					return out, steps, errors.New("node: uplink closed")
 				}
 				m, _, _, err := frame.DecodeMAC(raw)
 				if err != nil {
@@ -269,24 +220,24 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 		plan, err := ctrl.ReallocateContext(ctx)
 		rs.DecisionTime = sw.Elapsed()
 		if err != nil {
-			return out, err
+			return out, steps, err
 		}
 		rs.DeadTXs = len(ctrl.DeadTXs())
-		for _, txs := range plan.ServedBy {
-			if len(txs) == 0 {
+		for rx, txs := range plan.ServedBy {
+			if len(txs) == 0 && (live == nil || live[rx]) {
 				rs.StarvedRXs++
 			}
 		}
 		af, err := ctrl.AllocationFrame(plan)
 		if err != nil {
-			return out, err
+			return out, steps, err
 		}
 		wire, err := af.Serialize()
 		if err != nil {
-			return out, err
+			return out, steps, err
 		}
 		if err := link.Multicast(wire); err != nil {
-			return out, fmt.Errorf("node: allocation multicast: %w", err)
+			return out, steps, fmt.Errorf("node: allocation multicast: %w", err)
 		}
 		for _, txs := range plan.ServedBy {
 			if len(txs) > 0 {
@@ -314,13 +265,13 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 			rs.FramesSent++
 			return nil
 		}
-		for rx := 0; rx < cfg.M; rx++ {
+		for rx := 0; rx < numRX; rx++ {
 			if len(plan.ServedBy[rx]) == 0 {
 				continue
 			}
 			want := cfg.FramesPerRX
-			if cfg.Demand != nil {
-				want = cfg.Demand(rx)
+			if engine != nil {
+				want = min(engine.Demand(rx, t), want)
 			}
 			for k := 0; k < want; k++ {
 				payload := []byte(fmt.Sprintf("round %d frame %d for rx %d", round, k, rx))
@@ -330,10 +281,10 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 				}
 				wire, err := df.Serialize()
 				if err != nil {
-					return out, err
+					return out, steps, err
 				}
 				if err := link.Multicast(wire); err != nil {
-					return out, err
+					return out, steps, err
 				}
 				arq.Track(seq, rx, payload, 0)
 				rs.FramesSent++
@@ -346,14 +297,14 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 			for arq.Outstanding() > 0 {
 				select {
 				case <-ctx.Done():
-					return out, ctx.Err()
+					return out, steps, ctx.Err()
 				case <-hubFlush:
 					hub.FlushPending()
 				case <-ackDeadline:
 					break acks
 				case raw, ok := <-link.Uplink():
 					if !ok {
-						return out, errors.New("node: uplink closed")
+						return out, steps, errors.New("node: uplink closed")
 					}
 					m, _, _, err := frame.DecodeMAC(raw)
 					if err != nil {
@@ -374,7 +325,7 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 			hub.FlushPending()
 			for _, p := range arq.TakeRetryable() {
 				if err := send(p); err != nil {
-					return out, err
+					return out, steps, err
 				}
 				rs.Retransmits++
 			}
@@ -388,7 +339,7 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 		rs.SystemThroughput = roundThroughput(env, swings, sinrScratch)
 		out = append(out, rs)
 	}
-	return out, nil
+	return out, steps, nil
 }
 
 // roundThroughput scores the round's commanded swings against the true

@@ -14,38 +14,101 @@ import (
 	"densevlc/internal/mac"
 	"densevlc/internal/mobility"
 	"densevlc/internal/scenario"
+	"densevlc/internal/stats"
 	"densevlc/internal/transport"
 	"densevlc/internal/units"
+	"densevlc/internal/workload"
 )
 
 // Config wires a full asynchronous deployment.
 type Config struct {
-	Setup        scenario.Setup
+	Setup scenario.Setup
+	// Trajectories drive a fixed receiver fleet (their count sets M).
 	Trajectories []mobility.Trajectory
-	Policy       alloc.Policy
-	Budget       units.Watts
-	Sync         clock.Method
-	Blocker      channel.Blocker
+	// Workload, when non-nil, replaces Trajectories with a churn-driven
+	// population of Fleet receiver slots, as sim.Config.Workload does. The
+	// engine steps on the controller goroutine at each round boundary
+	// (workload.Engine is single-goroutine), a free slot's photodiode is
+	// dark, so the real pilot/report path delivers its dark channel and the
+	// allocator withdraws its swing, and each user's traffic model sets its
+	// frame demand.
+	Workload *workload.Spec
+	Policy   alloc.Policy
+	Budget   units.Watts
+	Sync     clock.Method
+	Blocker  channel.Blocker
 	// Network carries the control plane; nil selects in-memory. The run
 	// closes it on exit.
 	Network transport.Network
-	// Controller loop parameters.
-	Rounds        int
+	// Rounds to run (zero: 5).
+	Rounds int
+	// RoundDuration advances the hub's virtual clock per round (zero: 1 s).
 	RoundDuration units.Seconds
-	FramesPerRX   int
+	// FramesPerRX is the data frames per receiver per round (zero: 4);
+	// under a Workload it caps each user's demand.
+	FramesPerRX int
 	// MeasurementNoise is the channel-estimate relative std.
 	MeasurementNoise float64
 	Seed             int64
-	// Timeout bounds the whole run (zero: 60 s).
-	Timeout time.Duration
 	// Chaos optionally schedules fault events (TX failures, blockage,
 	// clock steps) replayed against the hub at round boundaries.
 	Chaos *chaos.Schedule
+	// Trigger enables the controller's event-driven re-allocation gate
+	// (see mac.Trigger); the zero value solves every round.
+	Trigger mac.Trigger
+	// MaxAttempts bounds transmissions per data frame (zero: 2).
+	MaxAttempts int
+	// ReportTimeout bounds the wait for channel reports per round, and
+	// AckTimeout the wait for acknowledgements per attempt pass (zero: 2 s
+	// each). The in-memory transport delivers in microseconds, so tests
+	// tighten these: they only matter when frames are lost.
+	ReportTimeout time.Duration
+	AckTimeout    time.Duration
+	// Timeout bounds the whole run (zero: 60 s).
+	Timeout time.Duration
+}
+
+func (c *Config) withDefaults() error {
+	if c.Workload != nil {
+		if len(c.Trajectories) != 0 {
+			return errors.New("node: Workload and Trajectories are mutually exclusive")
+		}
+	} else if len(c.Trajectories) == 0 {
+		return errors.New("node: no receivers")
+	}
+	if c.Policy == nil {
+		c.Policy = alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
+	}
+	if c.Rounds <= 0 {
+		c.Rounds = 5
+	}
+	if c.RoundDuration <= 0 {
+		c.RoundDuration = 1
+	}
+	if c.FramesPerRX <= 0 {
+		c.FramesPerRX = 4
+	}
+	if c.MaxAttempts <= 0 {
+		c.MaxAttempts = 2
+	}
+	if c.ReportTimeout <= 0 {
+		c.ReportTimeout = 2 * time.Second
+	}
+	if c.AckTimeout <= 0 {
+		c.AckTimeout = 2 * time.Second
+	}
+	if c.Timeout <= 0 {
+		c.Timeout = 60 * time.Second
+	}
+	return nil
 }
 
 // Result is the outcome of an asynchronous run.
 type Result struct {
 	Rounds []RoundStats
+	// Steps is the workload engine's per-round population summary, index-
+	// aligned with Rounds (nil without Config.Workload).
+	Steps []workload.StepStats
 	// Delivered counts application payloads handed to receivers.
 	Delivered int
 	// DeliveredPerRX breaks Delivered down by receiver.
@@ -53,6 +116,10 @@ type Result struct {
 	// Trace records the chaos events applied during the run (empty without
 	// a schedule). Its bytes are deterministic for a given seed+schedule.
 	Trace *chaos.Trace
+	// WorkloadTrace is the engine's canonical churn event log (nil without
+	// Config.Workload): byte-identical across runs with the same seed and
+	// spec.
+	WorkloadTrace []byte
 }
 
 // Run spawns the controller, every transmitter and every receiver as
@@ -68,17 +135,25 @@ func Run(cfg Config) (*Result, error) {
 // the round loop and tears the deployment down, in addition to the
 // cfg.Timeout bound.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if len(cfg.Trajectories) == 0 {
-		return nil, errors.New("node: no receivers")
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 60 * time.Second
+	if err := cfg.withDefaults(); err != nil {
+		return nil, err
 	}
 	n := cfg.Setup.Grid.N()
-	m := len(cfg.Trajectories)
+	traj := cfg.Trajectories
+	var engine *workload.Engine
+	if cfg.Workload != nil {
+		var err error
+		engine, err = workload.NewEngine(*cfg.Workload, cfg.Setup, cfg.Budget, stats.NewRand(cfg.Seed))
+		if err != nil {
+			return nil, err
+		}
+		// The hub reads slot positions through the engine-backed
+		// trajectories, always from the controller goroutine (AdvanceTime
+		// after the engine's step), so the engine's single-goroutine
+		// contract holds.
+		traj = engine.Trajectories()
+	}
+	m := len(traj)
 	if err := cfg.Chaos.Validate(n, m); err != nil {
 		return nil, err
 	}
@@ -89,7 +164,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	defer func() { _ = net.Close() }() // teardown; transport errors have no recovery path here
 
-	hub := NewHub(cfg.Setup, cfg.Trajectories, cfg.Blocker, cfg.Sync, cfg.MeasurementNoise, cfg.Seed)
+	hub := NewHub(cfg.Setup, traj, cfg.Blocker, cfg.Sync, cfg.MeasurementNoise, cfg.Seed)
 
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
@@ -133,21 +208,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	ctrl := mac.NewController(n, m, cfg.Policy, cfg.Budget, cfg.Setup.Params, cfg.Setup.LED)
+	ctrl.Trigger = cfg.Trigger
 	injector := chaos.NewInjector(cfg.Chaos)
-	rounds, runErr := RunController(ctx, net.Controller(), hub, ctrl, ControllerConfig{
-		N: n, M: m,
-		Rounds:        cfg.Rounds,
-		RoundDuration: cfg.RoundDuration,
-		FramesPerRX:   cfg.FramesPerRX,
-		Injector:      injector,
-	})
+	rounds, steps, runErr := runController(ctx, net.Controller(), hub, ctrl, cfg, engine, injector)
 
 	// Stop the node goroutines and collect.
 	cancel()
 	wg.Wait()
 	close(delivered)
 
-	res := &Result{Rounds: rounds, DeliveredPerRX: make([]int, m), Trace: injector.Trace()}
+	res := &Result{Rounds: rounds, Steps: steps, DeliveredPerRX: make([]int, m), Trace: injector.Trace()}
+	if engine != nil {
+		res.WorkloadTrace = engine.TraceBytes()
+	}
 	for d := range delivered {
 		res.Delivered++
 		if d.RX >= 0 && d.RX < m {

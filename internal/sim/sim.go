@@ -187,79 +187,6 @@ type Result struct {
 	WorkloadTrace []byte
 }
 
-// faultState is the synchronous engine's model of injected faults; it
-// implements chaos.Target. No locking: sim.Run is single-goroutine.
-type faultState struct {
-	failed []bool
-	keep   []float64
-	skew   []units.Seconds
-}
-
-func newFaultState(n, m int) *faultState {
-	f := &faultState{
-		failed: make([]bool, n),
-		keep:   make([]float64, m),
-		skew:   make([]units.Seconds, n),
-	}
-	for i := range f.keep {
-		f.keep[i] = 1
-	}
-	return f
-}
-
-func (f *faultState) FailTX(tx int) {
-	if tx >= 0 && tx < len(f.failed) {
-		f.failed[tx] = true
-	}
-}
-
-func (f *faultState) RecoverTX(tx int) {
-	if tx >= 0 && tx < len(f.failed) {
-		f.failed[tx] = false
-	}
-}
-
-func (f *faultState) SetRXAttenuation(rx int, keep float64) {
-	if rx < 0 || rx >= len(f.keep) {
-		return
-	}
-	f.keep[rx] = math.Min(1, math.Max(0, keep))
-}
-
-func (f *faultState) SkewClock(tx int, delta units.Seconds) {
-	if tx >= 0 && tx < len(f.skew) {
-		f.skew[tx] += delta
-	}
-}
-
-// mask applies the fault state to a freshly built channel matrix in place:
-// dark transmitters radiate nothing, shadowed receivers see attenuated
-// gains.
-//
-//lint:hotpath
-func (f *faultState) mask(h *channel.Matrix) {
-	for j := 0; j < h.N; j++ {
-		for i := 0; i < h.M; i++ {
-			if f.failed[j] {
-				h.H[j][i] = 0
-				continue
-			}
-			h.H[j][i] *= f.keep[i]
-		}
-	}
-}
-
-// failedTXs lists the dark transmitters in index order.
-func (f *faultState) failedTXs() []int {
-	var out []int
-	for j, dark := range f.failed {
-		if dark {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // downlinkCache decodes the copies of one multicast that the transmitters
 // receive in turn; it lives for one multicast. Every TX is sent the same
 // frame, so consecutive TXs almost always hold the same bytes; the cache
@@ -353,7 +280,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Chaos.Validate(n, m); err != nil {
 		return nil, err
 	}
-	faults := newFaultState(n, m)
+	faults := chaos.NewFaults(n, m)
 	injector := chaos.NewInjector(cfg.Chaos)
 
 	res := &Result{Trace: injector.Trace()}
@@ -388,7 +315,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		dets := cfg.Setup.Detectors(pos)
 		trueH := channel.BuildMatrix(emitters, dets, cfg.Blocker)
-		faults.mask(trueH)
+		faults.Mask(trueH)
 		if engine != nil {
 			// Free slots' photodiodes are dark: the allocator must never
 			// grant a departed user swing.
@@ -482,7 +409,7 @@ func Run(cfg Config) (*Result, error) {
 		var err error
 		if cache != nil {
 			for j := range liveTX {
-				liveTX[j] = !faults.failed[j]
+				liveTX[j] = !faults.Failed(j)
 			}
 			key := cache.Key(pos, liveTX)
 			if s, ok := cache.Get(key, trueEnv, cfg.Budget); ok {
@@ -541,7 +468,7 @@ func Run(cfg Config) (*Result, error) {
 			ActiveTXs:   active,
 			Swings:      cmdSwings,
 			ChaosEvents: chaosEvents,
-			FailedTXs:   faults.failedTXs(),
+			FailedTXs:   faults.FailedTXs(),
 		}
 		if engine != nil {
 			activeMask = engine.ActiveMask(activeMask)
@@ -552,7 +479,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		if cfg.WaveformPHY {
-			per, goodput, err := dataPhase(cfg, rng, ctrl, plan, txNodes, trueH, faults.skew)
+			per, goodput, err := dataPhase(cfg, rng, ctrl, plan, txNodes, trueH, faults)
 			if err != nil {
 				return nil, err
 			}
@@ -584,11 +511,11 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// dataPhase runs the waveform-level frame exchange for each beamspot. skew
-// carries per-TX trigger-clock steps injected by the chaos layer; they add to
-// whatever offset the synchronisation method produces.
+// dataPhase runs the waveform-level frame exchange for each beamspot. The
+// per-TX trigger-clock steps the chaos layer injected add to whatever offset
+// the synchronisation method produces.
 func dataPhase(cfg Config, rng *rand.Rand, ctrl *mac.Controller, plan mac.Plan,
-	txNodes []*mac.TXNode, trueH *channel.Matrix, skew []units.Seconds) (per []float64, goodput []units.BitsPerSecond, err error) {
+	txNodes []*mac.TXNode, trueH *channel.Matrix, faults *chaos.Faults) (per []float64, goodput []units.BitsPerSecond, err error) {
 
 	p := cfg.Setup.Params
 	scale := p.Responsivity.APerW() * p.WallPlugEfficiency * p.DynamicResistance.Ohms()
@@ -646,10 +573,7 @@ func dataPhase(cfg Config, rng *rand.Rand, ctrl *mac.Controller, plan mac.Plan,
 					return phy.TXTiming{Offset: units.Seconds(r.Float64() * 10e-3), Continuous: true, ClockPPM: ppm}
 				}
 				tx := members[idx]
-				var off units.Seconds
-				if len(skew) > tx {
-					off = skew[tx]
-				}
+				off := faults.Skew(tx)
 				if tx == leader {
 					return phy.TXTiming{Offset: off, ClockPPM: ppm}
 				}

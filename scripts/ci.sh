@@ -112,13 +112,13 @@ go test -race -run 'TestParallelDeterminism' ./internal/experiments/
 
 # The incremental re-allocation machinery promises bit-identical results to
 # from-scratch solves at every layer (column refresh, all-dirty workspace
-# re-solve, triggered controller, batch solver). The full -race pass covers
-# these, but run them once more explicitly so the equivalence contract is
-# named in the gate and a future rename cannot silently drop it.
+# re-solve, triggered controller, churn-driven controller). The full -race
+# pass covers these, but run them once more explicitly so the equivalence
+# contract is named in the gate and a future rename cannot silently drop it.
 echo "==> incremental-vs-scratch equivalence under -race (explicit)"
 go test -race -run 'TestIncrementalVsScratch' \
     ./internal/channel/ ./internal/scenario/ ./internal/cluster/ \
-    ./internal/mac/ ./internal/alloc/ ./internal/workload/
+    ./internal/mac/ ./internal/workload/
 
 # Chaos smoke: one fault-injected end-to-end run per engine. The tx-blackout
 # preset kills every receiver's best server mid-run; the commands fail on any
@@ -137,12 +137,12 @@ timeout 600 go run -race ./cmd/experiments clusterscale > /dev/null
 
 # Churn smoke: the workload engine end to end through both engines (the
 # synchronous simulator with the incremental trigger, and the asynchronous
-# goroutine-per-node runtime) plus the churn experiment, all under the race
-# detector. timeout(1) bounds the gate the same way the cluster-scale smoke
-# is bounded.
+# goroutine-per-node runtime with a receiver blockage on top of the churn)
+# plus the churn experiment, all under the race detector. timeout(1) bounds
+# the gate the same way the cluster-scale smoke is bounded.
 echo "==> churn smoke (both engines + churn experiment, -race, time-bounded)"
 timeout 600 go run -race ./cmd/densevlc -rounds 6 -udp=false -churn -arrival-rate 1.5 -fleet 6 -incremental > /dev/null
-timeout 600 go run -race ./cmd/densevlc -rounds 4 -udp=false -async -churn -arrival-rate 2 -fleet 4 > /dev/null
+timeout 600 go run -race ./cmd/densevlc -rounds 4 -udp=false -async -churn -arrival-rate 2 -fleet 4 -chaos rx-shadow > /dev/null
 timeout 600 go run -race ./cmd/experiments -quick churn > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
